@@ -8,14 +8,15 @@ sqrt(1/N), and exists to validate the generator, not to replace the flow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import MatrixSample
+from .csvio import write_csv
+from .ensembles import MatrixSample, catalog_distribution
 from .errors import ConfigError, StepError
+from .linalg import eigenvalues
 from .locallaw import rigidity_stat
 from .seeding import generator
 from .semicircle import nsc_eval
@@ -42,13 +43,16 @@ class FlowState:
     ht: MatrixSample
 
 
+_GAUSSIAN_ID = catalog_distribution("gaussian").dist_id
+
+
 def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float) -> FlowState:
     """Exact OU interpolation h_t = e^(-t/2) h0 + (1 - e^(-t))^(1/2) v."""
     if t < 0:
         raise ConfigError(f"flow time must be >= 0, got {t}")
     if h0.profile_id != v.profile_id or h0.symmetry_class != v.symmetry_class:
         raise ConfigError("flow endpoints must share profile and symmetry class")
-    if "gaussian" not in v.dist_id:
+    if v.dist_id != _GAUSSIAN_ID:
         raise ConfigError(f"comparison matrix must be Gaussian, got {v.dist_id!r}")
     c0 = math.exp(-t / 2.0)
     cg = math.sqrt(-math.expm1(-t))
@@ -121,16 +125,13 @@ def assumption_ii_stat(spectra, a: float, b: float) -> float:
     """|mean_samples N^-1 #{lambda in [a,b]} - semicircle mass of [a,b]|."""
     if not a < b:
         raise ConfigError(f"need a < b, got a={a}, b={b}")
-    fracs = []
-    for s in spectra:
-        lam = np.asarray(s.eigenvalues if hasattr(s, "eigenvalues") else s, dtype=float)
-        fracs.append(np.mean((lam >= a) & (lam <= b)))
+    fracs = [np.mean((lam >= a) & (lam <= b)) for lam in map(eigenvalues, spectra)]
     return float(abs(np.mean(fracs) - (nsc_eval(b) - nsc_eval(a))))
 
 
 def assumption_iii_stat(spectrum) -> float:
     """N^-1 sum_j (x_j - gamma_j)^2, the mean-square classical deviation."""
-    lam = np.asarray(spectrum.eigenvalues if hasattr(spectrum, "eigenvalues") else spectrum, dtype=float)
+    lam = eigenvalues(spectrum)
     return rigidity_stat(lam).total / lam.size
 
 
@@ -141,7 +142,7 @@ def assumption_iv_stat(spectrum, interval, k_threshold: float, sigma: float = 0.
     N^(-1+sigma).
     """
     a, b = float(interval[0]), float(interval[1])
-    lam = np.asarray(spectrum.eigenvalues if hasattr(spectrum, "eigenvalues") else spectrum, dtype=float)
+    lam = eigenvalues(spectrum)
     n = lam.size
     if not (-2.0 < a < b < 2.0):
         raise ConfigError(f"interval [{a}, {b}] must sit inside (-2, 2)")
@@ -153,10 +154,6 @@ def assumption_iv_stat(spectrum, interval, k_threshold: float, sigma: float = 0.
 
 def dump_trajectory(path, times, states, stride: int = 1) -> None:
     """CSV dump of (t, x_1..x_N) rows every `stride` snapshots."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# rmt-locallaw v1 schema=dbm-trajectory\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        n = states[0].x.size
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)])
-        for idx in range(0, len(states), stride):
-            writer.writerow([repr(float(times[idx]))] + [repr(float(v)) for v in states[idx].x])
+    columns = ["t"] + [f"x{i + 1}" for i in range(states[0].x.size)]
+    rows = ([float(times[idx]), *states[idx].x] for idx in range(0, len(states), stride))
+    write_csv(path, "dbm-trajectory", columns, rows)

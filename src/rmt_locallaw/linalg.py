@@ -17,7 +17,9 @@ import scipy.linalg as sla
 from .ensembles import MatrixSample
 from .errors import ConvergenceError, DomainError, SolverError, SymmetryError
 
-__all__ = ["Spectrum", "ResolventSlice", "eigh", "minor", "surviving_indices", "resolvent", "quadratic_form_z"]
+__all__ = [
+    "Spectrum", "ResolventSlice", "eigenvalues", "eigh", "minor", "surviving_indices", "resolvent", "quadratic_form_z",
+]
 
 _HERM_TOL = 1e-12
 
@@ -46,6 +48,13 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+
+def eigenvalues(spectrum) -> np.ndarray:
+    """Float eigenvalues, ascending, of a Spectrum or of an array (sorted here)."""
+    if isinstance(spectrum, Spectrum):
+        return np.asarray(spectrum.eigenvalues, dtype=float)
+    return np.sort(np.asarray(spectrum, dtype=float))
 
 
 def eigh(h, compute_vectors: bool = True) -> Spectrum:

@@ -9,15 +9,15 @@ Monte Carlo and the averaged-Z moment table.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .ensembles import EntryDistribution, MatrixSample, VarianceProfile, sample_matrix, validate_profile
 from .errors import ConfigError
-from .linalg import resolvent, surviving_indices
+from .linalg import eigenvalues, resolvent, surviving_indices
 from .parallel import pmap
 from .seeding import derive_seed, generator
 from .semicircle import (
@@ -79,12 +79,6 @@ class ResolventDiagnostics:
     mainseeq_residual: float
     x_diag: float
     lambda_o_subsampled: bool = False
-
-
-def _eigenvalues(spectrum) -> np.ndarray:
-    if hasattr(spectrum, "eigenvalues"):
-        return np.asarray(spectrum.eigenvalues, dtype=float)
-    return np.sort(np.asarray(spectrum, dtype=float))
 
 
 def diagnostics(
@@ -230,6 +224,13 @@ def verify_perturbation_identities(h, z: complex, i: int, j: int, k: int) -> flo
     return float(worst)
 
 
+SCAN_COLUMNS = [
+    "n", "E", "eta", "sample_seed",
+    "m_err_norm", "lambda_d_norm", "lambda_o_norm",
+    "upsilon_max", "mainseeq_residual",
+]
+
+
 @dataclass
 class ScanResult:
     """Raw per-(z, sample) scan rows plus quantile summaries.
@@ -260,17 +261,7 @@ class ScanResult:
         return out
 
     def to_csv(self, path) -> None:
-        cols = [
-            "n", "E", "eta", "sample_seed",
-            "m_err_norm", "lambda_d_norm", "lambda_o_norm",
-            "upsilon_max", "mainseeq_residual",
-        ]
-        with open(path, "w", newline="") as fh:
-            fh.write("# rmt-locallaw v1 schema=locallaw-scan\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for r in self.rows:
-                writer.writerow([repr(float(r[c])) if isinstance(r[c], float) else r[c] for c in cols])
+        write_csv(path, "locallaw-scan", SCAN_COLUMNS, [[r[c] for c in SCAN_COLUMNS] for r in self.rows])
 
     def summary_json(self) -> str:
         import json
@@ -364,7 +355,7 @@ def counting_gap(spectrum, a_exponent: int) -> float:
     fn is the normalized empirical counting function, evaluated exactly on
     both sides of every eigenvalue jump plus a uniform 10n grid.
     """
-    lam = _eigenvalues(spectrum)
+    lam = eigenvalues(spectrum)
     n = lam.size
     grid = np.linspace(-3.0, 3.0, 10 * n)
     jumps = lam[(lam >= -3.0) & (lam <= 3.0)]
@@ -387,7 +378,7 @@ class RigidityResult:
 
 def rigidity_stat(spectrum) -> RigidityResult:
     """Sum of squares sum_j (lambda_j - gamma_j)^2 against classical locations."""
-    lam = _eigenvalues(spectrum)
+    lam = eigenvalues(spectrum)
     gamma = classical_locations(lam.size)
     dev = lam - gamma
     return RigidityResult(total=float(np.sum(dev * dev)), deviations=dev)
@@ -404,7 +395,7 @@ class EdgeReport:
 
 def edge_check(spectrum, epsilon: float) -> EdgeReport:
     """Containment of the spectrum in [-2 - n^(-1/6+eps), 2 + n^(-1/6+eps)]."""
-    lam = _eigenvalues(spectrum)
+    lam = eigenvalues(spectrum)
     n = lam.size
     delta = float(n ** (-1.0 / 6.0 + epsilon))
     lower = float(lam[0] + 2.0 + delta)

@@ -12,7 +12,6 @@ Exit codes: 0 all acceptance clauses pass, 1 acceptance failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -21,10 +20,12 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import dbm, locallaw, moments, stats
+from .csvio import csv_text
 from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError, StepError
 from .linalg import eigh
@@ -43,58 +44,56 @@ _SHAPES = {
 
 _COMMON_KEYS = {"experiment", "seed", "workers", "thresholds"}
 
-_EXPERIMENT_KEYS = {
-    "locallaw-scan": {"ensemble", "sizes", "e", "eta_power", "eta_coeff", "samples", "variant", "log_alpha"},
-    "rigidity": {"ensemble", "n", "samples"},
-    "counting": {"ensemble", "n", "samples", "a_exponent"},
-    "edge": {"ensemble", "n", "samples", "epsilon"},
-    "dbm-gaps": {"ensemble", "n", "samples", "times", "kappa_cut"},
-    "moments-match": {"grid_count", "gammas", "mc_draws", "report_sweep_m4_max"},
-    "green-compare": {"ensemble", "distribution_b", "n", "samples", "e_values", "eta_factor", "functional"},
-    "largedev": {"distribution", "n", "trials", "coefficient_case"},
-    "zmoments": {"ensemble", "n", "z", "samples", "p_max", "log_alpha"},
-    "correlations": {"ensemble", "distribution_b", "n", "samples", "kappa_cut"},
-}
 
-_THRESHOLD_KEYS = {
-    "locallaw-scan": {"median_meta_m_err_max", "flatness_ratio_max", "median_sqrt_meta_lambda_d_max"},
-    "rigidity": {"exponent"},
-    "counting": {"coeff", "power", "min_pass_fraction"},
-    "edge": set(),
-    "dbm-gaps": {"ks_max", "min_gaps"},
-    "moments-match": {"m3_tol", "m4_gap_coeff", "mc_sigma"},
-    "green-compare": {"zscore_max"},
-    "largedev": {"rate_max"},
-    "zmoments": {"ratio_max"},
-    "correlations": {"ks_max"},
-}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-_DEFAULT_THRESHOLDS = {
-    "locallaw-scan": {"median_meta_m_err_max": 10.0, "flatness_ratio_max": 4.0, "median_sqrt_meta_lambda_d_max": 10.0},
-    "rigidity": {"exponent": -1.0 / 7.0},
-    "counting": {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
-    "edge": {},
-    "dbm-gaps": {"ks_max": 0.03, "min_gaps": 0},
-    "moments-match": {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
-    "green-compare": {"zscore_max": 3.0},
-    "largedev": {"rate_max": 0.01},
-    "zmoments": {"ratio_max": 1.0},
-    "correlations": {"ks_max": 0.05},
-}
 
-_DEFAULTS = {
-    "locallaw-scan": {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0, "variant": "D", "log_alpha": 1.0},
-    "counting": {"a_exponent": 1},
-    "edge": {"epsilon": 0.05},
-    "dbm-gaps": {"times": [0.0, 0.1, 1.0], "kappa_cut": 0.5},
-    "moments-match": {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
-    "green-compare": {"e_values": [0.0], "eta_factor": 1.0, "functional": "trace"},
-    "largedev": {"coefficient_case": "offdiagonal"},
-    "zmoments": {"p_max": 2, "log_alpha": 1.0},
-    "correlations": {"kappa_cut": 0.5},
-}
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-_ENSEMBLE_KEYS = {"profile", "distribution", "beta", "band_w", "band_shape"}
+
+# value kind -> (check, what the error message says the value must be)
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "counts": (lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 1 for x in v),
+               "a non-empty list of integers >= 1"),
+    "number": (_is_number, "a number"),
+    "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+}
+_DEFAULT_KINDS = {int: "int", float: "number", list: "numbers", str: "str"}
+_ENSEMBLE_KINDS = {"profile": "str", "distribution": "law", "beta": "int", "band_w": "count", "band_shape": "str"}
+
+
+def _check(path: str, value, kind: str) -> None:
+    ok, want = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError(f"{path} must be {want}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment tag: its body, the root keys it requires (key -> kind),
+    its optional keys with their defaults (kind from the default's type) and
+    its default thresholds. `ensemble` says whether the optional ensemble
+    object applies."""
+
+    body: Callable
+    required: dict
+    defaults: dict
+    thresholds: dict
+    ensemble: bool = True
+
+    @property
+    def kinds(self) -> dict:
+        kinds = {key: _DEFAULT_KINDS[type(val)] for key, val in self.defaults.items()}
+        if self.ensemble:
+            kinds["ensemble"] = "object"
+        return {**kinds, **self.required}
 
 
 @dataclass
@@ -129,36 +128,42 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     exp = doc.get("experiment")
-    if exp not in _EXPERIMENT_KEYS:
-        raise ConfigError(f"unknown or missing experiment tag {exp!r}; known: {sorted(_EXPERIMENT_KEYS)}")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[exp]
+    if exp not in _REGISTRY:
+        raise ConfigError(f"unknown or missing experiment tag {exp!r}; known: {sorted(_REGISTRY)}")
+    entry = _REGISTRY[exp]
+    kinds = entry.kinds
     for key in doc:
-        if key not in allowed:
+        if key not in _COMMON_KEYS and key not in kinds:
             raise ConfigError(f"unknown key {key!r} at config root (experiment {exp})")
-    if "seed" not in doc or not isinstance(doc["seed"], int):
-        raise ConfigError("config requires an integer 'seed'")
+    for key in ("seed", *entry.required):
+        if key not in doc:
+            raise ConfigError(f"missing required key {key!r} (experiment {exp})")
+    _check("seed", doc["seed"], "int")
+    for key, kind in kinds.items():
+        if key in doc:
+            _check(key, doc[key], kind)
     if "ensemble" in doc:
         ens = doc["ensemble"]
-        if not isinstance(ens, dict):
-            raise ConfigError("'ensemble' must be an object")
-        for key in ens:
-            if key not in _ENSEMBLE_KEYS:
+        for key, val in ens.items():
+            if key not in _ENSEMBLE_KINDS:
                 raise ConfigError(f"unknown key {key!r} at ensemble")
+            _check(f"ensemble.{key}", val, _ENSEMBLE_KINDS[key])
         if ens.get("beta", 2) not in (1, 2):
             raise ConfigError("ensemble.beta must be 1 or 2")
         _resolve_distribution(ens.get("distribution", "gaussian"))  # fail fast on bad names
-    thresholds = dict(_DEFAULT_THRESHOLDS[exp])
-    for key, val in (doc.get("thresholds") or {}).items():
-        if key not in _THRESHOLD_KEYS[exp]:
+    thresholds = dict(entry.thresholds)
+    overrides = doc.get("thresholds") or {}
+    _check("thresholds", overrides, "object")
+    for key, val in overrides.items():
+        if key not in thresholds:
             raise ConfigError(f"unknown key {key!r} at thresholds (experiment {exp})")
+        _check(f"thresholds.{key}", val, "number")
         thresholds[key] = val
-    params = dict(_DEFAULTS.get(exp, {}))
-    for key, val in doc.items():
-        if key not in _COMMON_KEYS:
-            params[key] = val
+    params = dict(entry.defaults)
+    params.update((key, val) for key, val in doc.items() if key not in _COMMON_KEYS)
     workers = doc.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ConfigError("'workers' must be a positive integer")
+    if workers is not None:
+        _check("workers", workers, "count")
     return ExperimentConfig(experiment=exp, seed=doc["seed"], workers=workers, params=params, thresholds=thresholds)
 
 
@@ -264,18 +269,6 @@ def _digest(data: str | bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _csv_text(header_schema: str, columns, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    buf.write(f"# rmt-locallaw v1 schema={header_schema}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
-
-
 # --- experiment bodies ------------------------------------------------------
 # Each returns (files: name -> text, statistics: dict, acceptance: dict,
 # headline: dict); `run` handles writing, digesting and the manifest.
@@ -301,9 +294,8 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
         medians_ld[n] = float(
             np.median([math.sqrt(profile.m_param * r["eta"]) * r["lambda_d"] for r in scan.rows])
         )
-    cols = ["n", "E", "eta", "sample_seed", "m_err_norm", "lambda_d_norm", "lambda_o_norm",
-            "upsilon_max", "mainseeq_residual"]
-    files = {"locallaw-scan.csv": _csv_text("locallaw-scan", cols, [[r[c] for c in cols] for r in all_rows])}
+    cols = locallaw.SCAN_COLUMNS
+    files = {"locallaw-scan.csv": csv_text("locallaw-scan", cols, [[r[c] for c in cols] for r in all_rows])}
     flatness = medians_meta[sizes[-1]] / medians_meta[sizes[0]] if len(sizes) > 1 else 1.0
     statistics = {
         "median_meta_m_err": medians_meta,
@@ -337,7 +329,7 @@ def _exp_rigidity(cfg: ExperimentConfig):
     thr_value = float(n ** cfg.thresholds["exponent"])
     values = [locallaw.rigidity_stat(lam).total for lam in _per_sample_eigenvalues(cfg, n, "rigidity")]
     rows = [[si, v] for si, v in enumerate(values)]
-    files = {"rigidity.csv": _csv_text("rigidity", ["sample_index", "sum_sq_dev"], rows)}
+    files = {"rigidity.csv": csv_text("rigidity", ["sample_index", "sum_sq_dev"], rows)}
     statistics = {"values": values, "max": max(values), "threshold": thr_value}
     acceptance = {"all_below_threshold": all(v < thr_value for v in values)}
     headline = {"statistic": f"max sum_j (lambda_j-gamma_j)^2 = {max(values):.4g}", "threshold": f"< {thr_value:.4g}"}
@@ -352,7 +344,7 @@ def _exp_counting(cfg: ExperimentConfig):
     values = [locallaw.counting_gap(lam, a_exp) for lam in _per_sample_eigenvalues(cfg, n, "counting")]
     passed = sum(v < thr_value for v in values)
     rows = [[si, v, v < thr_value] for si, v in enumerate(values)]
-    files = {"counting.csv": _csv_text("counting", ["sample_index", "sup_stat", "passed"], rows)}
+    files = {"counting.csv": csv_text("counting", ["sample_index", "sup_stat", "passed"], rows)}
     statistics = {"values": values, "pass_fraction": passed / len(values), "threshold": thr_value}
     acceptance = {"pass_fraction": passed / len(values) >= thr["min_pass_fraction"]}
     headline = {
@@ -367,7 +359,7 @@ def _exp_edge(cfg: ExperimentConfig):
     eps = cfg.params["epsilon"]
     reports = [locallaw.edge_check(lam, eps) for lam in _per_sample_eigenvalues(cfg, n, "edge")]
     rows = [[si, r.passed, r.lower_margin, r.upper_margin] for si, r in enumerate(reports)]
-    files = {"edge.csv": _csv_text("edge", ["sample_index", "passed", "lower_margin", "upper_margin"], rows)}
+    files = {"edge.csv": csv_text("edge", ["sample_index", "passed", "lower_margin", "upper_margin"], rows)}
     statistics = {
         "threshold": reports[0].threshold,
         "min_margin": min(min(r.lower_margin, r.upper_margin) for r in reports),
@@ -408,11 +400,11 @@ def _exp_dbm_gaps(cfg: ExperimentConfig):
             worst = max(worst, d)
     files = {}
     for ti, t in enumerate(times):
-        files[f"dbm-gaps-t{ti}.csv"] = _csv_text(
+        files[f"dbm-gaps-t{ti}.csv"] = csv_text(
             f"dbm-gaps-t{t:g}", ["gap"], [[float(g)] for g in np.sort(pools[ti])]
         )
     coeff_residual = max(
-        abs(math.exp(-t / 2.0) ** 2 + (-math.expm1(-t)) - 1.0) for t in np.linspace(0.0, 5.0, 101)
+        abs(math.exp(-t / 2.0) ** 2 + (-math.expm1(-t)) - 1.0) for t in np.linspace(0.0, 10.0, 201)
     )
     statistics = {
         "pooled_gaps": {f"t{t:g}": int(pools[ti].size) for ti, t in enumerate(times)},
@@ -453,6 +445,17 @@ def moment_target_grid(count: int, gammas) -> list:
     return targets[:count]
 
 
+def _mc_moments_ok(law, draws: np.ndarray, sigma: float) -> bool:
+    """Sample means of x^3 and x^4 within sigma standard errors of the law's moments."""
+    ok = True
+    power = draws * draws
+    for target in (law.achieved_m3, law.achieved_m4):
+        power *= draws  # draws**3, then draws**4: in place, so one power array is alive
+        se = float(np.std(power, ddof=1) / math.sqrt(draws.size))
+        ok &= abs(float(np.mean(power)) - target) <= sigma * se
+    return ok
+
+
 def _exp_moments_match(cfg: ExperimentConfig):
     pr = cfg.params
     thr = cfg.thresholds
@@ -468,13 +471,9 @@ def _exp_moments_match(cfg: ExperimentConfig):
             gap = law.m4_gap
             ok_m3 &= m3_err <= thr["m3_tol"]
             ok_m4 &= gap <= thr["m4_gap_coeff"] * g + 1e-12
-            mc_ok = True
-            if pr["mc_draws"] > 0:
-                draws = law.to_distribution().sample(generator(cfg.seed, "mc", rng_idx), pr["mc_draws"])
-                for k, target_val in ((3, law.achieved_m3), (4, law.achieved_m4)):
-                    est = float(np.mean(draws**k))
-                    se = float(np.std(draws**k, ddof=1) / math.sqrt(draws.size))
-                    mc_ok &= abs(est - target_val) <= thr["mc_sigma"] * se
+            mc_ok = pr["mc_draws"] <= 0 or _mc_moments_ok(
+                law, law.to_distribution().sample(generator(cfg.seed, "mc", rng_idx), pr["mc_draws"]), thr["mc_sigma"]
+            )
             ok_mc &= mc_ok
             rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, gap, mc_ok])
             rng_idx += 1
@@ -484,7 +483,7 @@ def _exp_moments_match(cfg: ExperimentConfig):
             law = moments.match_four_moments(moments.MomentTarget(float(m3), float(m4)), max(gammas))
             sweep_worst = max(sweep_worst, law.m4_gap / max(gammas))
     files = {
-        "moments-match.csv": _csv_text(
+        "moments-match.csv": csv_text(
             "moments-match",
             ["m3", "m4", "gamma", "achieved_m3", "achieved_m4", "m3_err", "m4_gap", "mc_ok"],
             rows,
@@ -516,7 +515,7 @@ def _exp_green_compare(cfg: ExperimentConfig):
     )
     rows = [[str(r["z"]), r["component"], r["diff"], r["stderr"], r["zscore"]] for r in rep.rows]
     files = {
-        "green-compare.csv": _csv_text("green-compare", ["z", "component", "diff", "stderr", "zscore"], rows),
+        "green-compare.csv": csv_text("green-compare", ["z", "component", "diff", "stderr", "zscore"], rows),
         "green-compare.report.json": rep.to_json(),
     }
     statistics = {"moment_mismatch": rep.moment_mismatch, "max_abs_zscore": rep.max_abs_zscore()}
@@ -533,7 +532,7 @@ def _exp_largedev(cfg: ExperimentConfig):
     dist = _resolve_distribution(pr["distribution"])
     res = locallaw.large_deviation_mc(dist, pr["n"], pr["trials"], pr["coefficient_case"], cfg.seed)
     files = {
-        "largedev.csv": _csv_text(
+        "largedev.csv": csv_text(
             "largedev",
             ["case", "rate", "wilson_low", "wilson_high", "threshold", "trials"],
             [[pr["coefficient_case"], res.rate, res.wilson_low, res.wilson_high, res.threshold, res.trials]],
@@ -555,7 +554,7 @@ def _exp_zmoments(cfg: ExperimentConfig):
         log_alpha=pr["log_alpha"], workers=cfg.workers,
     )
     rows = [[r["p"], r["moment"], r["stderr"], r["bound"], r["ratio"]] for r in table.rows]
-    files = {"zmoments.csv": _csv_text("zmoments", ["p", "moment", "stderr", "bound", "ratio"], rows)}
+    files = {"zmoments.csv": csv_text("zmoments", ["p", "moment", "stderr", "bound", "ratio"], rows)}
     statistics = {"x_value": table.x_value, "rows": table.rows}
     acceptance = {"p2_ratio_below_max": table.ratio(2) < cfg.thresholds["ratio_max"]}
     headline = {"statistic": f"E|Z-avg|^2 / bound = {table.ratio(2):.3g}", "threshold": f"< {cfg.thresholds['ratio_max']}"}
@@ -580,8 +579,8 @@ def _exp_correlations(cfg: ExperimentConfig):
     pool_b = np.concatenate(gaps[pr["samples"]:])
     ks = stats.ks_distance(stats.EmpiricalCDF(pool_a), stats.EmpiricalCDF(pool_b))
     files = {
-        "correlations-gaps-a.csv": _csv_text("gap-pool-a", ["gap"], [[float(g)] for g in np.sort(pool_a)]),
-        "correlations-gaps-b.csv": _csv_text("gap-pool-b", ["gap"], [[float(g)] for g in np.sort(pool_b)]),
+        "correlations-gaps-a.csv": csv_text("gap-pool-a", ["gap"], [[float(g)] for g in np.sort(pool_a)]),
+        "correlations-gaps-b.csv": csv_text("gap-pool-b", ["gap"], [[float(g)] for g in np.sort(pool_b)]),
     }
     statistics = {"ks": ks, "gaps_a": int(pool_a.size), "gaps_b": int(pool_b.size)}
     acceptance = {"gap_cdf_ks": ks < cfg.thresholds["ks_max"]}
@@ -589,17 +588,48 @@ def _exp_correlations(cfg: ExperimentConfig):
     return files, statistics, acceptance, headline
 
 
-_EXPERIMENTS = {
-    "locallaw-scan": _exp_locallaw_scan,
-    "rigidity": _exp_rigidity,
-    "counting": _exp_counting,
-    "edge": _exp_edge,
-    "dbm-gaps": _exp_dbm_gaps,
-    "moments-match": _exp_moments_match,
-    "green-compare": _exp_green_compare,
-    "largedev": _exp_largedev,
-    "zmoments": _exp_zmoments,
-    "correlations": _exp_correlations,
+_REGISTRY = {
+    "locallaw-scan": _Experiment(
+        _exp_locallaw_scan,
+        {"sizes": "counts", "samples": "count"},
+        {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0, "variant": "D", "log_alpha": 1.0},
+        {"median_meta_m_err_max": 10.0, "flatness_ratio_max": 4.0, "median_sqrt_meta_lambda_d_max": 10.0},
+    ),
+    "rigidity": _Experiment(_exp_rigidity, {"n": "count", "samples": "count"}, {}, {"exponent": -1.0 / 7.0}),
+    "counting": _Experiment(
+        _exp_counting, {"n": "count", "samples": "count"}, {"a_exponent": 1},
+        {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
+    ),
+    "edge": _Experiment(_exp_edge, {"n": "count", "samples": "count"}, {"epsilon": 0.05}, {}),
+    "dbm-gaps": _Experiment(
+        _exp_dbm_gaps, {"n": "count", "samples": "count"}, {"times": [0.0, 0.1, 1.0], "kappa_cut": 0.5},
+        {"ks_max": 0.03, "min_gaps": 0},
+    ),
+    "moments-match": _Experiment(
+        _exp_moments_match,
+        {},
+        {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
+        {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
+        ensemble=False,
+    ),
+    "green-compare": _Experiment(
+        _exp_green_compare,
+        {"distribution_b": "law", "n": "count", "samples": "count"},
+        {"e_values": [0.0], "eta_factor": 1.0, "functional": "trace"},
+        {"zscore_max": 3.0},
+    ),
+    "largedev": _Experiment(
+        _exp_largedev, {"distribution": "law", "n": "count", "trials": "count"},
+        {"coefficient_case": "offdiagonal"}, {"rate_max": 0.01}, ensemble=False,
+    ),
+    "zmoments": _Experiment(
+        _exp_zmoments, {"n": "count", "z": "numbers", "samples": "count"}, {"p_max": 2, "log_alpha": 1.0},
+        {"ratio_max": 1.0},
+    ),
+    "correlations": _Experiment(
+        _exp_correlations, {"distribution_b": "law", "n": "count", "samples": "count"}, {"kappa_cut": 0.5},
+        {"ks_max": 0.05},
+    ),
 }
 
 
@@ -607,7 +637,7 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
     """Execute one experiment; write outputs + manifest atomically into outdir."""
     os.makedirs(outdir, exist_ok=True)
     start = time.monotonic()
-    files, statistics, acceptance, headline = _EXPERIMENTS[cfg.experiment](cfg)
+    files, statistics, acceptance, headline = _REGISTRY[cfg.experiment].body(cfg)
     summary = json.dumps({"config": json.loads(cfg.to_json()), "statistics": statistics}, sort_keys=True, indent=1)
     files[f"{cfg.experiment}.summary.json"] = summary
     digests = {}
@@ -652,7 +682,7 @@ def report(manifests) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="rmt", description="Random-matrix desk-scale experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for tag in _EXPERIMENTS:
+    for tag in _REGISTRY:
         sp = sub.add_parser(tag, help=f"run the {tag} experiment")
         sp.add_argument("-c", "--config", required=True, help="path to the JSON config")
         sp.add_argument("-o", "--outdir", required=True, help="output directory")

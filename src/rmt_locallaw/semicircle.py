@@ -7,13 +7,13 @@ spectral domains used to gate experiments.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -205,15 +205,9 @@ class AsymptoticsReport:
     max_abs_msc: float
 
     def to_csv(self, path) -> None:
-        cols = ["E", "eta", "kappa", "value", "bound", "ratio"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for row in self.rows:
-                for claim in row["claims"]:
-                    writer.writerow(
-                        [row["E"], row["eta"], row["kappa"], claim["value"], claim["bound"], claim["ratio"]]
-                    )
+        rows = ([r["E"], r["eta"], r["kappa"], c["value"], c["bound"], c["ratio"]]
+                for r in self.rows for c in r["claims"])
+        write_csv(path, "msc-asymptotics", ["E", "eta", "kappa", "value", "bound", "ratio"], rows)
 
 
 def msc_asymptotics_check(

@@ -8,15 +8,15 @@ finite-size effects cancel in comparisons.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .ensembles import EntryDistribution, VarianceProfile, sample_matrix
 from .errors import ConfigError, EmptyError, StatisticsError
-from .linalg import eigh
+from .linalg import eigenvalues, eigh
 from .parallel import pmap
 from .seeding import derive_seed
 from .semicircle import nsc_eval, rho_sc
@@ -59,7 +59,7 @@ def unfold(spectrum, kappa_cut: float, source: str = "", matrix_dim: int | None 
     """
     if not 0 < kappa_cut < 2:
         raise ConfigError(f"kappa_cut must be in (0, 2), got {kappa_cut}")
-    lam = np.asarray(spectrum.eigenvalues if hasattr(spectrum, "eigenvalues") else spectrum, dtype=float)
+    lam = eigenvalues(spectrum)
     n = matrix_dim if matrix_dim is not None else lam.size
     points = n * nsc_eval(lam)
     return UnfoldedSample(points=np.atleast_1d(points), bulk_mask=np.abs(lam) <= 2.0 - kappa_cut, source=source)
@@ -85,12 +85,8 @@ class EmpiricalCDF:
         return np.unique(self.values)
 
     def to_csv(self, path, schema: str = "empirical-cdf") -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# rmt-locallaw v1 schema={schema}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["value", "cdf"])
-            for v in self.jumps:
-                writer.writerow([repr(float(v)), repr(float(self(v)))])
+        jumps = self.jumps
+        write_csv(path, schema, ["value", "cdf"], zip(jumps, self(jumps)))
 
 
 def gap_distribution(samples) -> EmpiricalCDF:
@@ -130,26 +126,13 @@ class CorrelationEstimate:
         return 0.5 * (self.bins[1:] + self.bins[:-1])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# rmt-locallaw v1 schema=kpoint-{self.k}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            if self.values.ndim == 1:
-                writer.writerow(["alpha", "value", "stderr"])
-                for c, v, s in zip(self.centers, self.values, self.stderr):
-                    writer.writerow([repr(float(c)), repr(float(v)), repr(float(s))])
-            else:
-                writer.writerow(["alpha1", "alpha2", "value", "stderr"])
-                for i1, c1 in enumerate(self.centers):
-                    for i2, c2 in enumerate(self.centers):
-                        writer.writerow(
-                            [repr(float(c1)), repr(float(c2)),
-                             repr(float(self.values[i1, i2])), repr(float(self.stderr[i1, i2]))]
-                        )
-
-
-def _sample_eigenvalues(s) -> np.ndarray:
-    lam = np.asarray(s.eigenvalues if hasattr(s, "eigenvalues") else s, dtype=float)
-    return np.sort(lam)
+        c = self.centers
+        if self.values.ndim == 1:
+            write_csv(path, f"kpoint-{self.k}", ["alpha", "value", "stderr"], zip(c, self.values, self.stderr))
+        else:
+            rows = ([c1, c2, self.values[i1, i2], self.stderr[i1, i2]]
+                    for i1, c1 in enumerate(c) for i2, c2 in enumerate(c))
+            write_csv(path, f"kpoint-{self.k}", ["alpha1", "alpha2", "value", "stderr"], rows)
 
 
 def kpoint_estimate(samples, k: int, e: float, b: float, bins, test_fn=None, matrix_dim: int | None = None) -> CorrelationEstimate:
@@ -176,7 +159,7 @@ def kpoint_estimate(samples, k: int, e: float, b: float, bins, test_fn=None, mat
     rho = rho_sc(e)
     per_sample = []
     for s in samples:
-        lam = _sample_eigenvalues(s)
+        lam = eigenvalues(s)
         n = matrix_dim if matrix_dim is not None else lam.size
         scale = n * rho
         if k == 1:

@@ -5,29 +5,16 @@ them live) and asserts both the statistical clause and the runtime budget.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 
 import _acceptance_log
 from rmt_locallaw import runner
-from rmt_locallaw.dbm import flow_interpolate
 from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
-from rmt_locallaw.linalg import eigh
-from rmt_locallaw.locallaw import (
-    counting_gap,
-    diagnostics,
-    edge_check,
-    local_law_scan,
-    rigidity_stat,
-    verify_perturbation_identities,
-    z_average_moments,
-)
-from rmt_locallaw.moments import match_four_moments
-from rmt_locallaw.seeding import derive_seed, generator
+from rmt_locallaw.locallaw import diagnostics, verify_perturbation_identities
+from rmt_locallaw.seeding import derive_seed
 from rmt_locallaw.semicircle import classical_locations, nsc_eval, rho_sc
-from rmt_locallaw.stats import EmpiricalCDF, ks_distance, unfold
 
 SEED = 20260808
 
@@ -39,13 +26,6 @@ def _record(name, passed, detail, elapsed, budget):
     _acceptance_log.LINES.append(line)
     assert passed, line
     assert elapsed < budget, f"{name} over runtime budget: {elapsed:.1f}s >= {budget}s"
-
-
-def _gue_like(n, dist, beta, tag, count, seed=SEED):
-    p = wigner_profile(n)
-    d = catalog_distribution(dist)
-    for k in range(count):
-        yield eigh(sample_matrix(p, d, beta, derive_seed(seed, tag, k)), compute_vectors=False).eigenvalues
 
 
 def test_criterion_1_exact_algebra_suite():
@@ -98,152 +78,84 @@ def test_criterion_2_semicircle_suite():
     )
 
 
-def test_criterion_3_local_law_scaling():
+def _ens(dist):
+    return {"profile": "wigner", "distribution": dist, "beta": 2}
+
+
+def _run_configs(tmp_path, name, budget, *docs):
+    """Run frozen configs through the runner; the line quotes each manifest headline."""
     t0 = time.monotonic()
-    sizes = (250, 500, 1000, 2000)
-    details = []
-    ok = True
-    for dist in ("gaussian", "bernoulli"):
-        medians = {}
-        for n in sizes:
-            p = wigner_profile(n)
-            eta = n**-0.8
-            scan = local_law_scan(
-                p, catalog_distribution(dist), 2, 50, [complex(0.0, eta)],
-                seed=derive_seed(SEED, "scaling", dist, n),
-            )
-            m_med = float(np.median([r["meta_m_err"] for r in scan.rows]))
-            ld_med = float(np.median([math.sqrt(n * eta) * r["lambda_d"] for r in scan.rows]))
-            medians[n] = m_med
-            ok &= m_med < 10 and ld_med < 10
-        flat = medians[sizes[-1]] / medians[sizes[0]]
-        ok &= flat < 4
-        details.append(f"{dist}: max median n*eta*|dm| {max(medians.values()):.2f} < 10, flatness {flat:.2f} < 4")
+    manifests = [
+        runner.run(runner.parse_config(json.dumps({"seed": SEED, **doc})), str(tmp_path / str(i)))
+        for i, doc in enumerate(docs)
+    ]
     elapsed = time.monotonic() - t0
-    _record("3 local-law-scaling", ok, "; ".join(details), elapsed, 1200)
-
-
-def test_criterion_4_rigidity():
-    t0 = time.monotonic()
-    thr = 1000 ** (-1.0 / 7.0)
-    values = [rigidity_stat(lam).total for lam in _gue_like(1000, "bernoulli", 2, "rigidity", 20)]
-    elapsed = time.monotonic() - t0
-    _record(
-        "4 rigidity", max(values) < thr,
-        f"max sum (lambda-gamma)^2 = {max(values):.4f} < {thr:.4f} in all 20 samples", elapsed, 300,
+    detail = "; ".join(
+        (f"{doc['ensemble']['distribution']}: " if len(docs) > 1 else "")
+        + f"{m.headline['statistic']} {m.headline['threshold']}"
+        for doc, m in zip(docs, manifests)
     )
+    _record(name, all(m.all_passed for m in manifests), detail, elapsed, budget)
+    return manifests
 
 
-def test_criterion_5_counting_function():
-    t0 = time.monotonic()
-    thr = 10 * 1000**0.1 / 1000
-    values = [counting_gap(lam, 1) for lam in _gue_like(1000, "gaussian", 2, "counting", 20)]
-    passed = sum(v < thr for v in values)
-    elapsed = time.monotonic() - t0
-    _record(
-        "5 counting", passed >= 19,
-        f"{passed}/20 samples with sup |fn-n_sc|*kappa < {thr:.4f} (max {max(values):.4f})", elapsed, 300,
-    )
+def test_criterion_3_local_law_scaling(tmp_path):
+    scan = {
+        "experiment": "locallaw-scan", "sizes": [250, 500, 1000, 2000], "samples": 50,
+        "e": 0.0, "eta_coeff": 1.0, "eta_power": -0.8,
+        "thresholds": {"median_meta_m_err_max": 10.0, "median_sqrt_meta_lambda_d_max": 10.0, "flatness_ratio_max": 4.0},
+    }
+    _run_configs(tmp_path, "3 local-law-scaling", 1200,
+                 *({**scan, "ensemble": _ens(dist)} for dist in ("gaussian", "bernoulli")))
 
 
-def test_criterion_6_edge_bound():
-    t0 = time.monotonic()
-    ok = True
-    worst_margin = math.inf
-    for dist in ("gaussian", "bernoulli"):
-        for lam in _gue_like(2000, dist, 2, f"edge-{dist}", 20):
-            rep = edge_check(lam, 0.05)
-            ok &= rep.passed
-            worst_margin = min(worst_margin, rep.lower_margin, rep.upper_margin)
-    elapsed = time.monotonic() - t0
-    _record(
-        "6 edge", ok,
-        f"all 40 spectra inside +-(2 + n^(-1/6+0.05)), min margin {worst_margin:.3f}", elapsed, 600,
-    )
+def test_criterion_4_rigidity(tmp_path):
+    _run_configs(tmp_path, "4 rigidity", 300, {
+        "experiment": "rigidity", "ensemble": _ens("bernoulli"), "n": 1000, "samples": 20, "workers": 1,
+        "thresholds": {"exponent": -1.0 / 7.0},
+    })
 
 
-def test_criterion_7_moment_matching():
-    t0 = time.monotonic()
-    targets = runner.moment_target_grid(100, [0.001, 0.01, 0.1])
-    assert len(targets) == 100
-    ok_m3 = ok_m4 = ok_mc = True
-    worst_gap_ratio = 0.0
-    idx = 0
-    for t in targets:
-        for g in (0.001, 0.01, 0.1):
-            law = match_four_moments(t, g)
-            ok_m3 &= abs(law.achieved_m3 - t.m3) <= 1e-12
-            worst_gap_ratio = max(worst_gap_ratio, law.m4_gap / g)
-            ok_m4 &= law.m4_gap <= 4 * g + 1e-12
-            draws = law.to_distribution().sample(generator(SEED, "mc", idx), 1_000_000)
-            for k, want in ((3, law.achieved_m3), (4, law.achieved_m4)):
-                mk = draws**k
-                se = mk.std(ddof=1) / math.sqrt(mk.size)
-                ok_mc &= abs(mk.mean() - want) <= 5 * se
-            idx += 1
-    elapsed = time.monotonic() - t0
-    _record(
-        "7 moment-matching", ok_m3 and ok_m4 and ok_mc,
-        f"300 matchings: m3 exact, worst |dm4|/gamma {worst_gap_ratio:.2f} <= 4, MC within 5 se", elapsed, 120,
-    )
+def test_criterion_5_counting_function(tmp_path):
+    _run_configs(tmp_path, "5 counting", 300, {
+        "experiment": "counting", "ensemble": _ens("gaussian"), "n": 1000, "samples": 20, "a_exponent": 1,
+        "workers": 1, "thresholds": {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
+    })
 
 
-def test_criterion_8_dbm_invariances():
-    t0 = time.monotonic()
-    coeff_resid = max(
-        abs(math.exp(-t / 2.0) ** 2 + (-math.expm1(-t)) - 1.0) for t in np.linspace(0.0, 10.0, 201)
-    )
-    n, times = 1000, (0.0, 0.1, 1.0)
-    p = wigner_profile(n)
-    bern = catalog_distribution("bernoulli")
-    gauss = catalog_distribution("gaussian")
-    pools = [[] for _ in times]
-    samples = 120  # ~866 bulk points per spectrum at kappa_cut = 0.5
-    for k in range(samples):
-        h0 = sample_matrix(p, bern, 2, derive_seed(SEED, "dbm-h0", k))
-        v = sample_matrix(p, gauss, 2, derive_seed(SEED, "dbm-v", k))
-        for ti, t in enumerate(times):
-            ht = h0 if t == 0 else flow_interpolate(h0, v, t).ht
-            lam = eigh(ht, compute_vectors=False).eigenvalues
-            pools[ti].append(unfold(lam, 0.5).bulk_gaps())
-    cdfs = [EmpiricalCDF(np.concatenate(pool)) for pool in pools]
-    gap_counts = [c.n for c in cdfs]
-    worst_ks = max(
-        ks_distance(cdfs[a], cdfs[b]) for a in range(len(times)) for b in range(a + 1, len(times))
-    )
-    elapsed = time.monotonic() - t0
-    ok = coeff_resid < 1e-15 and min(gap_counts) >= 100_000 and worst_ks < 0.03
-    _record(
-        "8 dbm-invariances", ok,
-        f"OU coeff residual {coeff_resid:.1e} < 1e-15, pooled gaps {min(gap_counts)}, worst KS {worst_ks:.4f} < 0.03",
-        elapsed, 1800,
-    )
+def test_criterion_6_edge_bound(tmp_path):
+    edge = {"experiment": "edge", "n": 2000, "samples": 20, "epsilon": 0.05, "workers": 1}
+    _run_configs(tmp_path, "6 edge", 600, *({**edge, "ensemble": _ens(dist)} for dist in ("gaussian", "bernoulli")))
 
 
-def test_criterion_9_universality():
-    t0 = time.monotonic()
-    pools = {}
-    for dist in ("bernoulli", "gaussian"):
-        gaps = [unfold(lam, 0.5).bulk_gaps() for lam in _gue_like(1000, dist, 2, f"universality-{dist}", 100)]
-        pools[dist] = EmpiricalCDF(np.concatenate(gaps))
-    ks = ks_distance(pools["bernoulli"], pools["gaussian"])
-    elapsed = time.monotonic() - t0
-    _record("9 universality", ks < 0.05, f"Bernoulli-vs-GUE bulk gap KS {ks:.4f} < 0.05", elapsed, 1800)
+def test_criterion_7_moment_matching(tmp_path):
+    (manifest,) = _run_configs(tmp_path, "7 moment-matching", 120, {
+        "experiment": "moments-match", "grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1_000_000,
+        "workers": 1, "thresholds": {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
+    })
+    assert manifest.statistics["targets"] == 100
 
 
-def test_criterion_10_z_average_moments():
-    t0 = time.monotonic()
-    p = wigner_profile(400)
-    table = z_average_moments(
-        p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 500, 2, seed=derive_seed(SEED, "zmom"),
-        log_alpha=1.0,
-    )
-    ratio = table.ratio(2)
-    elapsed = time.monotonic() - t0
-    _record(
-        "10 z-moments", ratio < 1.0,
-        f"E|N^-1 sum Z|^2 / ((ln N)^5 X^2)^2 = {ratio:.2e} < 1", elapsed, 600,
-    )
+def test_criterion_8_dbm_invariances(tmp_path):
+    _run_configs(tmp_path, "8 dbm-invariances", 1800, {
+        "experiment": "dbm-gaps", "ensemble": _ens("bernoulli"), "n": 1000, "times": [0.0, 0.1, 1.0],
+        "samples": 120,  # ~866 bulk points per spectrum at kappa_cut = 0.5
+        "kappa_cut": 0.5, "workers": 1, "thresholds": {"ks_max": 0.03, "min_gaps": 100_000},
+    })
+
+
+def test_criterion_9_universality(tmp_path):
+    _run_configs(tmp_path, "9 universality", 1800, {
+        "experiment": "correlations", "ensemble": _ens("bernoulli"), "distribution_b": "gaussian",
+        "n": 1000, "samples": 100, "kappa_cut": 0.5, "workers": 1, "thresholds": {"ks_max": 0.05},
+    })
+
+
+def test_criterion_10_z_average_moments(tmp_path):
+    _run_configs(tmp_path, "10 z-moments", 600, {
+        "experiment": "zmoments", "ensemble": _ens("gaussian"), "n": 400, "z": [0.5, 0.05], "samples": 500,
+        "p_max": 2, "log_alpha": 1.0, "thresholds": {"ratio_max": 1.0},
+    })
 
 
 def _determinism_configs():

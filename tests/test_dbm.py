@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,8 @@ def test_flow_rejects_mismatched_inputs():
         flow_interpolate(h0, other, 0.1)
     with pytest.raises(ConfigError):
         flow_interpolate(h0, h0, 0.1)  # comparison matrix must be Gaussian
+    with pytest.raises(ConfigError):  # the id names a Gaussian-divisible law, not the Gaussian
+        flow_interpolate(h0, dataclasses.replace(v, dist_id="gaussian-divisible"), 0.1)
     with pytest.raises(ConfigError):
         flow_interpolate(h0, v, -1.0)
 

@@ -26,6 +26,14 @@ def minimal_config(**overrides):
     return json.dumps(doc)
 
 
+# a missing key, an ill-typed key and a zero count, each with the key the error names
+BAD_VALUES = [
+    (json.dumps({"experiment": "rigidity", "seed": 7, "samples": 2}), "'n'"),
+    (minimal_config(n="abc"), "n must be"),
+    (minimal_config(samples=0), "samples must be"),
+]
+
+
 def test_parse_minimal_config_fills_defaults():
     cfg = parse_config(
         json.dumps(
@@ -48,6 +56,10 @@ def test_parse_rejects_typo_key():
     with pytest.raises(ConfigError) as err:
         parse_config(minimal_config(samplse=3))
     assert "samplse" in str(err.value)
+    for text, key in BAD_VALUES:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert key in str(err.value)
 
 
 def test_parse_rejects_unknown_experiment_and_bad_json():
@@ -156,6 +168,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "config error" in err and "1e-05" in err
 
     assert main(["rigidity", "-c", str(tmp_path / "missing.json"), "-o", str(out)]) == 2
+
+    # missing, ill-typed and zero-count keys: one line naming the key
+    for text, key in BAD_VALUES:
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["rigidity", "-c", str(bad), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error") and key in err
 
 
 def test_main_report_subcommand(tmp_path, capsys):

@@ -226,5 +226,5 @@ def test_asymptotics_csv_export(tmp_path):
     out = tmp_path / "grid.csv"
     rep.to_csv(out)
     text = out.read_text()
-    assert text.startswith("E,eta,kappa,value,bound,ratio")
-    assert len(text.splitlines()) > len(pts)
+    assert text.startswith("# rmt-locallaw v1 schema=msc-asymptotics\nE,eta,kappa,value,bound,ratio\n")
+    assert len(text.splitlines()) > len(pts) + 1
