@@ -375,10 +375,14 @@ class MatrixSample:
 
     @classmethod
     def from_bytes(cls, blob: bytes, profile_id: str = "", dist_id: str = "") -> "MatrixSample":
-        if blob[:4] != _MAGIC:
-            raise ValueError("bad magic; not an RMT1 matrix blob")
+        if blob[:4] != _MAGIC or len(blob) < 20:
+            raise ValueError("bad magic or short header; not an RMT1 matrix blob")
         n, beta, seed = struct.unpack("<IIQ", blob[4:20])
+        if beta not in (1, 2):
+            raise ValueError(f"symmetry class must be 1 or 2, got {beta}")
         plane = n * n * 8
+        if len(blob) != 20 + beta * plane:
+            raise ValueError(f"blob has {len(blob)} bytes; n={n}, beta={beta} needs exactly {20 + beta * plane}")
         real = np.frombuffer(blob[20 : 20 + plane], dtype="<f8").reshape(n, n)
         if beta == 2:
             imag = np.frombuffer(blob[20 + plane : 20 + 2 * plane], dtype="<f8").reshape(n, n)

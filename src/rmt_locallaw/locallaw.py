@@ -56,17 +56,9 @@ def x_control(n: int, m_param: float, z: complex, log_alpha: float = 1.0) -> flo
     return float(math.log(n) ** (10 + 2 * log_alpha) * (kappa + eta) ** 0.25 / math.sqrt(m_param * eta))
 
 
-_LAMBDA_O_FULL_MAX = 2000
-_LAMBDA_O_PAIRS = 10_000
-
-
 @dataclass
 class ResolventDiagnostics:
-    """Per-(H, z) record of the self-consistent resolvent quantities.
-
-    lambda_o is the exact off-diagonal max up to dimension 2000; above that a
-    uniformly subsampled 10^4-pair estimate is used and flagged.
-    """
+    """Per-(H, z) record of the self-consistent resolvent quantities."""
 
     z: complex
     m_n: complex
@@ -78,7 +70,6 @@ class ResolventDiagnostics:
     upsilon_max: float
     mainseeq_residual: float
     x_diag: float
-    lambda_o_subsampled: bool = False
 
 
 def diagnostics(
@@ -91,11 +82,13 @@ def diagnostics(
     """All self-consistent quantities of one sample at one spectral point.
 
     The default route extracts every minor quantity from a single full
-    resolvent through the exact rank-one update identities (one LU solve and
-    one extra matrix product); minor_route=True instead solves each of the n
-    minors separately, which is O(n) times slower and used to cross-check.
-    The identity residual max_i |G_ii - 1/(-z - sum_j s2_ij G_jj + Y_i)| is
-    exact algebra, so it measures numerical consistency only.
+    resolvent (one LU solve) in O(n^2): the rank-one update identities give
+    A_i and E_i, and row i of (H - z)G = I gives the Schur quadratic form
+    a^i* G^(i) a^i = -sum_{j != i} h_ij G_ji / G_ii. minor_route=True instead
+    solves each of the n minors separately, which is O(n) times slower and
+    used to cross-check. The identity residual
+    max_i |G_ii - 1/(-z - sum_j s2_ij G_jj + Y_i)| is exact algebra; on the
+    default route it measures how far diag((H - z)G) is from 1.
     """
     a = h.entries if isinstance(h, MatrixSample) else np.asarray(h)
     n = a.shape[0]
@@ -124,15 +117,8 @@ def diagnostics(
             z_self[i] = col.conj() @ gi @ col
             eiz[i] = var[i, keep] @ np.diag(gi)
     else:
-        gh = g_full @ a
-        hg_diag = np.einsum("ij,ji->i", a, g_full)
-        hgh_diag = np.einsum("ij,ji->i", a, gh)
-        gh_diag = np.diag(gh).copy()
-        t_red = hgh_diag - hdiag * gh_diag - hdiag * hg_diag + hdiag**2 * g
-        s1 = hg_diag - hdiag * g
-        s2 = gh_diag - hdiag * g
-        z_self = t_red - s1 * s2 / g
-        eiz = (var @ g - pv_diag * g) - (pw_row - pv_diag * g * g) / g
+        z_self = (hdiag * g - np.einsum("ij,ji->i", a, g_full)) / g
+        eiz = (var @ g - pv_diag * g) - cross
 
     z_terms = z_self - eiz
     upsilon = a_terms + hdiag - z_terms
@@ -141,33 +127,19 @@ def diagnostics(
 
     m_sc = msc_eval(z)
     lambda_d = float(np.max(np.abs(g - m_sc)))
-    subsampled = False
-    if n <= 1:
-        lambda_o = 0.0
-    elif n <= _LAMBDA_O_FULL_MAX:
-        off = np.abs(g_full).copy()
-        np.fill_diagonal(off, 0.0)
-        lambda_o = float(off.max())
-    else:
-        # deterministic uniform pair subsample, keyed by the dimension only
-        rng = generator(0xA11CE, n)
-        ii = rng.integers(0, n, size=_LAMBDA_O_PAIRS)
-        jj = rng.integers(0, n - 1, size=_LAMBDA_O_PAIRS)
-        jj = np.where(jj >= ii, jj + 1, jj)
-        lambda_o = float(np.max(np.abs(g_full[ii, jj])))
-        subsampled = True
+    off = np.abs(g_full)
+    np.fill_diagonal(off, 0.0)
     return ResolventDiagnostics(
         z=z,
         m_n=m_n,
         lambda_d=lambda_d,
-        lambda_o=lambda_o,
+        lambda_o=float(off.max()),
         a_terms=a_terms,
         z_terms=z_terms,
         upsilon_terms=upsilon,
         upsilon_max=float(np.max(np.abs(upsilon))),
         mainseeq_residual=residual,
         x_diag=x_control(n, p.m_param, z, log_alpha),
-        lambda_o_subsampled=subsampled,
     )
 
 
@@ -272,7 +244,6 @@ class ScanResult:
                 "sample_count": self.sample_count,
                 "seed_base": self.seed_base,
                 "edge_exponent_a": self.edge_exponent_a,
-                "lambda_o_subsampled": any(r.get("lambda_o_subsampled", False) for r in self.rows),
                 "quantiles": self.quantiles,
             },
             sort_keys=True,
@@ -337,7 +308,6 @@ def local_law_scan(
             "sqrt_meta_lambda_o": math.sqrt(meta) * diag.lambda_o,
             "upsilon_max": diag.upsilon_max,
             "mainseeq_residual": diag.mainseeq_residual,
-            "lambda_o_subsampled": diag.lambda_o_subsampled,
         }
 
     jobs = [(zi, si) for zi in range(len(grid)) for si in range(n_samples)]

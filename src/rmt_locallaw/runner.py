@@ -29,12 +29,12 @@ from .csvio import csv_text
 from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError, StepError
 from .linalg import eigh
-from .parallel import default_workers, pmap
+from .parallel import pmap
 from .seeding import derive_seed, generator
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 _SHAPES = {
     "box": lambda x: 1.0 if 0 <= x < 1 else 0.0,
@@ -60,6 +60,9 @@ _KINDS = {
     "counts": (lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 1 for x in v),
                "a non-empty list of integers >= 1"),
     "number": (_is_number, "a number"),
+    "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
+              "a pair [E, eta] of numbers with eta > 0"),
     "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
@@ -78,19 +81,20 @@ def _check(path: str, value, kind: str) -> None:
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment tag: its body, the root keys it requires (key -> kind),
-    its optional keys with their defaults (kind from the default's type) and
-    its default thresholds. `ensemble` says whether the optional ensemble
-    object applies."""
+    its optional keys with their defaults (kind from the default's type unless
+    `checks` names a narrower one) and its default thresholds. `ensemble` says
+    whether the optional ensemble object applies."""
 
     body: Callable
     required: dict
     defaults: dict
     thresholds: dict
     ensemble: bool = True
+    checks: dict = field(default_factory=dict)
 
     @property
     def kinds(self) -> dict:
-        kinds = {key: _DEFAULT_KINDS[type(val)] for key, val in self.defaults.items()}
+        kinds = {key: self.checks.get(key, _DEFAULT_KINDS[type(val)]) for key, val in self.defaults.items()}
         if self.ensemble:
             kinds["ensemble"] = "object"
         return {**kinds, **self.required}
@@ -142,6 +146,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, kind in kinds.items():
         if key in doc:
             _check(key, doc[key], kind)
+            if kind == "law":
+                _resolve_distribution(doc[key], key)  # fail fast on laws that cannot be built
     if "ensemble" in doc:
         ens = doc["ensemble"]
         for key, val in ens.items():
@@ -150,7 +156,10 @@ def parse_config(text: str) -> ExperimentConfig:
             _check(f"ensemble.{key}", val, _ENSEMBLE_KINDS[key])
         if ens.get("beta", 2) not in (1, 2):
             raise ConfigError("ensemble.beta must be 1 or 2")
-        _resolve_distribution(ens.get("distribution", "gaussian"))  # fail fast on bad names
+        n_min = min(doc.get("sizes", [doc.get("n")]))
+        if ens.get("band_w", 1) > n_min:
+            raise ConfigError(f"ensemble.band_w must be <= n = {n_min}, got {ens['band_w']}")
+        _resolve_distribution(ens.get("distribution", "gaussian"), "ensemble.distribution")
     thresholds = dict(entry.thresholds)
     overrides = doc.get("thresholds") or {}
     _check("thresholds", overrides, "object")
@@ -167,19 +176,23 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=exp, seed=doc["seed"], workers=workers, params=params, thresholds=thresholds)
 
 
-def _resolve_distribution(spec) -> EntryDistribution:
-    if isinstance(spec, str):
-        try:
+def _resolve_distribution(spec, path: str) -> EntryDistribution:
+    """The entry law a config value names: a catalog name, {"matched": {m3,
+    m4, gamma}} or an inline law. A spec that cannot be built is a
+    ConfigError naming `path`."""
+    try:
+        if isinstance(spec, str):
             return catalog_distribution(spec)
-        except NotFoundError:
-            raise ConfigError(f"unresolved distribution name {spec!r}") from None
-    if isinstance(spec, dict):
         if "matched" in spec:
             m = spec["matched"]
-            law = moments.match_four_moments(moments.MomentTarget(m["m3"], m["m4"]), m["gamma"])
-            return law.to_distribution()
+            return moments.match_four_moments(moments.MomentTarget(m["m3"], m["m4"]), m["gamma"]).to_distribution()
         return EntryDistribution.from_json(json.dumps({"schema": "entry-distribution", **spec}))
-    raise ConfigError(f"cannot interpret distribution spec {spec!r}")
+    except NotFoundError:
+        raise ConfigError(f"{path}: unresolved distribution name {spec!r}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc} in {spec!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot build the law {spec!r}: {exc}") from None
 
 
 def _build_profile(ens: dict, n: int):
@@ -197,7 +210,7 @@ def _build_profile(ens: dict, n: int):
 def _ensemble(cfg: ExperimentConfig, n: int):
     ens = cfg.params.get("ensemble", {})
     profile = _build_profile(ens, n)
-    dist = _resolve_distribution(ens.get("distribution", "gaussian"))
+    dist = _resolve_distribution(ens.get("distribution", "gaussian"), "ensemble.distribution")
     beta = ens.get("beta", 2)
     return profile, dist, beta
 
@@ -506,7 +519,7 @@ def _exp_green_compare(cfg: ExperimentConfig):
     pr = cfg.params
     n = pr["n"]
     profile, dist_a, beta = _ensemble(cfg, n)
-    dist_b = _resolve_distribution(pr["distribution_b"])
+    dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
     eta = pr["eta_factor"] / n
     z_list = [complex(e, eta) for e in pr["e_values"]]
     rep = stats.green_comparison(
@@ -529,7 +542,7 @@ def _exp_green_compare(cfg: ExperimentConfig):
 
 def _exp_largedev(cfg: ExperimentConfig):
     pr = cfg.params
-    dist = _resolve_distribution(pr["distribution"])
+    dist = _resolve_distribution(pr["distribution"], "distribution")
     res = locallaw.large_deviation_mc(dist, pr["n"], pr["trials"], pr["coefficient_case"], cfg.seed)
     files = {
         "largedev.csv": csv_text(
@@ -565,7 +578,7 @@ def _exp_correlations(cfg: ExperimentConfig):
     pr = cfg.params
     n, kcut = pr["n"], pr["kappa_cut"]
     profile, dist_a, beta = _ensemble(cfg, n)
-    dist_b = _resolve_distribution(pr["distribution_b"])
+    dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
 
     def _job(args):
         tag, dist, si = args
@@ -594,6 +607,7 @@ _REGISTRY = {
         {"sizes": "counts", "samples": "count"},
         {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0, "variant": "D", "log_alpha": 1.0},
         {"median_meta_m_err_max": 10.0, "flatness_ratio_max": 4.0, "median_sqrt_meta_lambda_d_max": 10.0},
+        checks={"eta_coeff": "positive"},
     ),
     "rigidity": _Experiment(_exp_rigidity, {"n": "count", "samples": "count"}, {}, {"exponent": -1.0 / 7.0}),
     "counting": _Experiment(
@@ -611,6 +625,7 @@ _REGISTRY = {
         {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
         {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
         ensemble=False,
+        checks={"grid_count": "count"},
     ),
     "green-compare": _Experiment(
         _exp_green_compare,
@@ -623,7 +638,7 @@ _REGISTRY = {
         {"coefficient_case": "offdiagonal"}, {"rate_max": 0.01}, ensemble=False,
     ),
     "zmoments": _Experiment(
-        _exp_zmoments, {"n": "count", "z": "numbers", "samples": "count"}, {"p_max": 2, "log_alpha": 1.0},
+        _exp_zmoments, {"n": "count", "z": "point", "samples": "count"}, {"p_max": 2, "log_alpha": 1.0},
         {"ratio_max": 1.0},
     ),
     "correlations": _Experiment(
@@ -711,8 +726,6 @@ def main(argv=None) -> int:
         return 2
     if args.workers is not None:
         cfg.workers = args.workers
-    elif cfg.workers is None and os.environ.get("RMT_WORKERS"):
-        cfg.workers = default_workers()
     try:
         manifest = run(cfg, args.outdir)
     except ConfigError as exc:

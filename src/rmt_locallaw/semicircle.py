@@ -205,9 +205,9 @@ class AsymptoticsReport:
     max_abs_msc: float
 
     def to_csv(self, path) -> None:
-        rows = ([r["E"], r["eta"], r["kappa"], c["value"], c["bound"], c["ratio"]]
+        rows = ([r["E"], r["eta"], r["kappa"], c["name"], c["value"], c["bound"], c["ratio"]]
                 for r in self.rows for c in r["claims"])
-        write_csv(path, "msc-asymptotics", ["E", "eta", "kappa", "value", "bound", "ratio"], rows)
+        write_csv(path, "msc-asymptotics", ["E", "eta", "kappa", "claim", "value", "bound", "ratio"], rows)
 
 
 def msc_asymptotics_check(

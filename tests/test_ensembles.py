@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -224,3 +225,17 @@ def test_matrix_binary_roundtrip():
 def test_matrix_binary_rejects_bad_magic():
     with pytest.raises(ValueError):
         MatrixSample.from_bytes(b"XXXX" + b"\0" * 32)
+    real = sample_matrix(wigner_profile(4), catalog_distribution("gaussian"), 1, seed=32).to_bytes()
+    cplx = sample_matrix(wigner_profile(4), catalog_distribution("gaussian"), 2, seed=32).to_bytes()
+    as_beta3 = real[:8] + struct.pack("<I", 3) + real[12:]
+    as_beta1 = cplx[:8] + struct.pack("<I", 1) + cplx[12:]
+    for blob, words in (
+        (real[:12], "header"),
+        (as_beta3, "1 or 2, got 3"),
+        (real + b"\0", "needs exactly"),
+        (as_beta1, "needs exactly"),
+        (real[:-8], "needs exactly"),
+        (cplx[:-1], "needs exactly"),
+    ):
+        with pytest.raises(ValueError, match=words):
+            MatrixSample.from_bytes(blob)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rmt_locallaw import locallaw
 from rmt_locallaw.ensembles import VarianceProfile, catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.linalg import resolvent
@@ -56,6 +59,22 @@ def test_diagnostics_mainseeq_residual_random():
     h = sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=21)
     d = diagnostics(h, p, 1.0 + 0.5j)
     assert d.mainseeq_residual < 1e-8
+
+
+def test_diagnostics_mainseeq_residual_sees_a_perturbed_resolvent(monkeypatch):
+    # the residual must check diag((H - z)G) against 1, not hold for any G
+    p = wigner_profile(50)
+    h = sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=21)
+    exact = locallaw.resolvent
+
+    def perturbed(a, z, t=()):
+        sl = exact(a, z, t)
+        g = sl.entries.copy()
+        g[0, 1] += 1e-6
+        return dataclasses.replace(sl, entries=g)
+
+    monkeypatch.setattr(locallaw, "resolvent", perturbed)
+    assert diagnostics(h, p, 1.0 + 0.5j).mainseeq_residual > 1e-9
 
 
 def test_diagnostics_fast_route_matches_minor_route():

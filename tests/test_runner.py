@@ -26,11 +26,29 @@ def minimal_config(**overrides):
     return json.dumps(doc)
 
 
-# a missing key, an ill-typed key and a zero count, each with the key the error names
+def config(experiment, **fields):
+    return json.dumps({"experiment": experiment, "seed": 7, **fields})
+
+
+INFEASIBLE_LAW = {
+    "kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 0.5,
+    "subexp_alpha": 1.0, "subexp_beta": 2.0,
+}
+
+# bad configs, each with the key the error names; main runs each through its own subcommand
 BAD_VALUES = [
-    (json.dumps({"experiment": "rigidity", "seed": 7, "samples": 2}), "'n'"),
+    (config("rigidity", samples=2), "'n'"),
     (minimal_config(n="abc"), "n must be"),
     (minimal_config(samples=0), "samples must be"),
+    (config("moments-match", grid_count=0), "grid_count must be"),
+    (minimal_config(ensemble={"profile": "band", "band_w": 121}), "ensemble.band_w must be"),
+    (config("zmoments", n=50, z=[0.5], samples=2), "z must be"),
+    (config("zmoments", n=50, z=[0.5, -0.1], samples=2), "z must be"),
+    (config("locallaw-scan", sizes=[50], samples=1, eta_coeff=-1), "eta_coeff must be"),
+    (minimal_config(ensemble={"distribution": INFEASIBLE_LAW}), "ensemble.distribution: "),
+    (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 0.5, "gamma": 0.1}}),
+     "distribution_b: "),
+    (config("largedev", n=50, trials=10, distribution={"matched": {"m3": 0}}), "distribution: missing key 'm4'"),
 ]
 
 
@@ -169,11 +187,11 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert main(["rigidity", "-c", str(tmp_path / "missing.json"), "-o", str(out)]) == 2
 
-    # missing, ill-typed and zero-count keys: one line naming the key
+    # bad keys, values and laws: one line naming the key
     for text, key in BAD_VALUES:
         bad.write_text(text)
         capsys.readouterr()
-        assert main(["rigidity", "-c", str(bad), "-o", str(out)]) == 2
+        assert main([json.loads(text)["experiment"], "-c", str(bad), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error") and key in err
 

@@ -226,5 +226,8 @@ def test_asymptotics_csv_export(tmp_path):
     out = tmp_path / "grid.csv"
     rep.to_csv(out)
     text = out.read_text()
-    assert text.startswith("# rmt-locallaw v1 schema=msc-asymptotics\nE,eta,kappa,value,bound,ratio\n")
-    assert len(text.splitlines()) > len(pts) + 1
+    assert text.startswith("# rmt-locallaw v1 schema=msc-asymptotics\nE,eta,kappa,claim,value,bound,ratio\n")
+    claims = [c["name"] for r in rep.rows for c in r["claims"]]
+    lines = text.splitlines()[2:]
+    assert len(lines) == len(claims) > len(pts)
+    assert [line.split(",")[3] for line in lines] == claims
