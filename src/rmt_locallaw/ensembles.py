@@ -61,14 +61,18 @@ class VarianceProfile:
     profile_id: str = "custom"
 
     @classmethod
-    def from_variances(cls, variances, profile_id: str = "custom", validate: bool = True) -> "VarianceProfile":
+    def from_variances(
+        cls, variances, profile_id: str = "custom", validate: bool = True, spectrum=None
+    ) -> "VarianceProfile":
+        """Profile of a variance grid. `spectrum` is Spec(Sigma) when the caller
+        knows it in closed form; otherwise a dense eigvalsh computes it."""
         var = np.array(variances, dtype=float)
         if var.ndim != 2 or var.shape[0] != var.shape[1] or var.shape[0] < 1:
             raise ValueError(f"variances must be a square grid, got shape {var.shape}")
         n = var.shape[0]
         var.setflags(write=False)
         vmax = float(var.max())
-        spectrum = np.sort(np.linalg.eigvalsh(var))
+        spectrum = np.sort(np.linalg.eigvalsh(var) if spectrum is None else np.asarray(spectrum, dtype=float))
         if n >= 2:
             delta_plus = float(1.0 - spectrum[-2])
             delta_minus = float(1.0 + spectrum[0])
@@ -163,10 +167,15 @@ def validate_profile(p: VarianceProfile) -> ProfileReport:
 
 
 def wigner_profile(n: int) -> VarianceProfile:
-    """Flat profile sigma^2_ij = 1/n (standard Wigner normalization)."""
+    """Flat profile sigma^2_ij = 1/n (standard Wigner normalization).
+
+    Sigma is the projection onto the constant vector: Spec = {0^(n-1), 1}.
+    """
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    return VarianceProfile.from_variances(np.full((n, n), 1.0 / n), profile_id=f"wigner-{n}")
+    spectrum = np.zeros(n)
+    spectrum[-1] = 1.0
+    return VarianceProfile.from_variances(np.full((n, n), 1.0 / n), profile_id=f"wigner-{n}", spectrum=spectrum)
 
 
 def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int = 50) -> VarianceProfile:
@@ -174,7 +183,9 @@ def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int 
 
     Raw weights shape(d/w)/w at circular distance d = min(i-j mod n, j-i mod n),
     then columns are rescaled to sum exactly to one and re-symmetrized
-    (Sinkhorn-style, <= max_iter rounds, tolerance 1e-12).
+    (Sinkhorn-style, <= max_iter rounds, tolerance 1e-12). The grid is a
+    symmetric circulant, so Spec(Sigma) is the real part of the FFT of its
+    first row.
     """
     if not 1 <= w <= n:
         raise ValueError(f"bandwidth must satisfy 1 <= w <= n, got w={w}, n={n}")
@@ -198,7 +209,7 @@ def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int 
             break
     else:
         raise ConvergenceError("band profile normalization did not reach 1e-12 in 50 rounds")
-    return VarianceProfile.from_variances(var, profile_id=f"band-{n}-{w}")
+    return VarianceProfile.from_variances(var, profile_id=f"band-{n}-{w}", spectrum=np.fft.fft(var[0]).real)
 
 
 _SQRT3 = math.sqrt(3.0)

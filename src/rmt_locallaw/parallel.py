@@ -1,27 +1,142 @@
-"""Order-preserving parallel map over independent sample jobs."""
+"""Order-preserving parallel map over independent sample jobs, and the one
+place that sets how many threads the BLAS may use.
+
+`pmap` runs its jobs on `workers` threads with every loaded OpenBLAS pinned
+to BLAS_THREADS (1) thread, so the cores are shared out by jobs alone and
+none is oversubscribed. The pin also makes the BLAS thread count part of the
+numerical setup: LAPACK gives different last bits at different thread
+counts, so unpinned output bytes would depend on the host.
+"""
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable
+
+BLAS_THREADS = 1
+
+# (set, get, config) entry points of the OpenBLAS builds numpy and scipy ship;
+# numpy's 64-bit-integer copy carries the 64_ suffix.
+_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_", "scipy_openblas_get_config64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads", "scipy_openblas_get_config"),
+)
+
+
+def affinity_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
 
 
 def default_workers() -> int:
     env = os.environ.get("RMT_WORKERS")
     if env:
         return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
+    return max(1, min(4, affinity_cores()))
+
+
+@dataclass(frozen=True)
+class BlasLibrary:
+    """One OpenBLAS mapped into this process; `config` is its build string
+    (version, kernel, thread limit)."""
+
+    name: str
+    config: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+def _load(path: str) -> BlasLibrary | None:
+    # dlopen of a mapped library returns the handle already in use; loads nothing
+    lib = ctypes.CDLL(path)
+    for set_sym, get_sym, config_sym in _SYMBOLS:
+        if hasattr(lib, set_sym):
+            setter, getter, config = getattr(lib, set_sym), getattr(lib, get_sym), getattr(lib, config_sym)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            return BlasLibrary(os.path.basename(path), config().decode().strip(), getter, setter)
+    return None
+
+
+_libraries: list | None = None
+
+
+def blas_libraries() -> list:
+    """The OpenBLAS copies mapped into this process (numpy's and scipy's),
+    found on the first call. Without /proc/self/maps the list is empty and
+    blas_threads pins nothing."""
+    global _libraries
+    if _libraries is None:
+        paths = []
+        try:
+            with open("/proc/self/maps") as fh:
+                for line in fh:
+                    path = line.rsplit(None, 1)[-1]
+                    if "openblas" in os.path.basename(path) and ".so" in path and path not in paths:
+                        paths.append(path)
+        except OSError:
+            pass
+        _libraries = [lib for lib in map(_load, paths) if lib is not None]
+    return _libraries
+
+
+# OpenBLAS keeps one thread count per process, so pins from several threads
+# share it: the first entry saves the counts, the last exit restores them.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_threads = 0
+_pin_saved: list = []
+
+
+@contextmanager
+def blas_threads(k: int):
+    """Run the block with every loaded OpenBLAS at k threads; the earlier
+    counts come back on exit, also when the block raises. Blocks may nest or
+    overlap across threads, all with the same k."""
+    global _pin_depth, _pin_threads, _pin_saved
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"BLAS thread count must be an integer >= 1, got {k!r}")
+    libs = blas_libraries()
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [lib.get_threads() for lib in libs]
+            for lib in libs:
+                lib.set_threads(k)
+            _pin_threads = k
+        elif k != _pin_threads:
+            raise ValueError(f"BLAS is pinned to {_pin_threads} threads; cannot pin to {k} inside")
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for lib, count in zip(libs, _pin_saved):
+                    lib.set_threads(count)
 
 
 def pmap(fn, jobs, workers: int | None = None) -> list:
     """Apply fn to each job; results in job order regardless of scheduling.
 
     Jobs must be independent and seeded individually; threads are enough
-    because the heavy kernels release the GIL inside LAPACK.
+    because the heavy kernels release the GIL inside LAPACK. Every job runs
+    with the BLAS at BLAS_THREADS threads, on the serial path too, so the
+    worker count changes speed only.
     """
     jobs = list(jobs)
     workers = workers if workers is not None else default_workers()
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    with blas_threads(BLAS_THREADS):
+        if workers <= 1 or len(jobs) <= 1:
+            return [fn(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))

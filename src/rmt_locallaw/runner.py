@@ -1,9 +1,11 @@
 """Experiment runner: JSON configs, seeded parallel execution, CSV/JSON
 outputs, run manifests and the aggregate report, plus the `rmt` CLI.
 
-Output bytes are a pure function of (config, seed, artifact version): per-job
-seeds are derived statelessly, results merge in job order, and files are
-written to a temporary name and renamed atomically.
+Output bytes are a pure function of (config, seed, artifact version, BLAS
+build): per-job seeds are derived statelessly, results merge in job order,
+every job runs with the BLAS pinned to one thread (`parallel.pmap`), and
+files are written to a temporary name and renamed atomically. The manifest
+also records the run's environment, which no digested file contains.
 
 Exit codes: 0 all acceptance clauses pass, 1 acceptance failure,
 2 config error, 3 numerical error.
@@ -23,18 +25,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import dbm, locallaw, moments, stats
 from .csvio import csv_text
 from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError, StepError
 from .linalg import eigh
-from .parallel import pmap
+from .parallel import BLAS_THREADS, affinity_cores, blas_libraries, default_workers, pmap
 from .seeding import derive_seed, generator
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 _SHAPES = {
     "box": lambda x: 1.0 if 0 <= x < 1 else 0.0,
@@ -43,6 +46,11 @@ _SHAPES = {
 }
 
 _COMMON_KEYS = {"experiment", "seed", "workers", "thresholds"}
+
+# moments-match sweeps m3 over [-2, 2]; every m4 up to report_sweep_m4_max
+# must be feasible there, m4 >= 1 + m3^2
+_SWEEP_M3_MAX = 2.0
+_SWEEP_M4_MIN = 1.0 + _SWEEP_M3_MAX**2
 
 
 def _is_int(v) -> bool:
@@ -61,6 +69,8 @@ _KINDS = {
                "a non-empty list of integers >= 1"),
     "number": (_is_number, "a number"),
     "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "sweep_m4": (lambda v: _is_number(v) and v >= _SWEEP_M4_MIN,
+                 f"a number >= {_SWEEP_M4_MIN:g} (1 + m3^2 at the sweep's largest |m3| = {_SWEEP_M3_MAX:g})"),
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
     "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
@@ -112,7 +122,7 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         # workers is a parallelism hint, not semantics: excluded so output
-        # bytes stay a pure function of (config, seed, artifact version).
+        # bytes stay a pure function of (config, seed, artifact version, BLAS build).
         doc = dict(self.params)
         doc["experiment"] = self.experiment
         doc["seed"] = self.seed
@@ -217,7 +227,9 @@ def _ensemble(cfg: ExperimentConfig, n: int):
 
 @dataclass
 class RunManifest:
-    """Run record: config echo, digests of every output, pass/fail clauses."""
+    """Run record: config echo, digests of every output, pass/fail clauses,
+    and the environment the run had (BLAS builds and threads, workers,
+    cores, versions), which affects speed only."""
 
     experiment: str
     config: dict
@@ -227,6 +239,7 @@ class RunManifest:
     acceptance: dict
     statistics: dict
     headline: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -243,6 +256,7 @@ class RunManifest:
                 "acceptance": self.acceptance,
                 "statistics": self.statistics,
                 "headline": self.headline,
+                "environment": self.environment,
             },
             sort_keys=True,
             indent=1,
@@ -260,6 +274,7 @@ class RunManifest:
             acceptance=doc["acceptance"],
             statistics=doc["statistics"],
             headline=doc.get("headline", {}),
+            environment=doc.get("environment", {}),
         )
 
 
@@ -491,7 +506,7 @@ def _exp_moments_match(cfg: ExperimentConfig):
             rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, gap, mc_ok])
             rng_idx += 1
     sweep_worst = 0.0
-    for m3 in np.linspace(-2.0, 2.0, 9):
+    for m3 in np.linspace(-_SWEEP_M3_MAX, _SWEEP_M3_MAX, 9):
         for m4 in np.linspace(1.0 + m3 * m3, pr["report_sweep_m4_max"], 9):
             law = moments.match_four_moments(moments.MomentTarget(float(m3), float(m4)), max(gammas))
             sweep_worst = max(sweep_worst, law.m4_gap / max(gammas))
@@ -625,7 +640,7 @@ _REGISTRY = {
         {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
         {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
         ensemble=False,
-        checks={"grid_count": "count"},
+        checks={"grid_count": "count", "report_sweep_m4_max": "sweep_m4"},
     ),
     "green-compare": _Experiment(
         _exp_green_compare,
@@ -648,6 +663,18 @@ _REGISTRY = {
 }
 
 
+def _environment(cfg: ExperimentConfig) -> dict:
+    """What the run's speed depended on; kept out of every digested file."""
+    return {
+        "blas_threads": BLAS_THREADS,
+        "blas": {lib.name: lib.config for lib in blas_libraries()},
+        "workers": cfg.workers if cfg.workers is not None else default_workers(),
+        "affinity_cores": affinity_cores(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
     """Execute one experiment; write outputs + manifest atomically into outdir."""
     os.makedirs(outdir, exist_ok=True)
@@ -668,6 +695,7 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
         acceptance=acceptance,
         statistics=statistics,
         headline=headline,
+        environment=_environment(cfg),
     )
     _atomic_write(os.path.join(outdir, f"{cfg.experiment}.manifest.json"), manifest.to_json())
     return manifest

@@ -111,7 +111,7 @@ def test_criterion_3_local_law_scaling(tmp_path):
 
 def test_criterion_4_rigidity(tmp_path):
     _run_configs(tmp_path, "4 rigidity", 300, {
-        "experiment": "rigidity", "ensemble": _ens("bernoulli"), "n": 1000, "samples": 20, "workers": 1,
+        "experiment": "rigidity", "ensemble": _ens("bernoulli"), "n": 1000, "samples": 20,
         "thresholds": {"exponent": -1.0 / 7.0},
     })
 
@@ -119,12 +119,12 @@ def test_criterion_4_rigidity(tmp_path):
 def test_criterion_5_counting_function(tmp_path):
     _run_configs(tmp_path, "5 counting", 300, {
         "experiment": "counting", "ensemble": _ens("gaussian"), "n": 1000, "samples": 20, "a_exponent": 1,
-        "workers": 1, "thresholds": {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
+        "thresholds": {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
     })
 
 
 def test_criterion_6_edge_bound(tmp_path):
-    edge = {"experiment": "edge", "n": 2000, "samples": 20, "epsilon": 0.05, "workers": 1}
+    edge = {"experiment": "edge", "n": 2000, "samples": 20, "epsilon": 0.05}
     _run_configs(tmp_path, "6 edge", 600, *({**edge, "ensemble": _ens(dist)} for dist in ("gaussian", "bernoulli")))
 
 
@@ -140,14 +140,14 @@ def test_criterion_8_dbm_invariances(tmp_path):
     _run_configs(tmp_path, "8 dbm-invariances", 1800, {
         "experiment": "dbm-gaps", "ensemble": _ens("bernoulli"), "n": 1000, "times": [0.0, 0.1, 1.0],
         "samples": 120,  # ~866 bulk points per spectrum at kappa_cut = 0.5
-        "kappa_cut": 0.5, "workers": 1, "thresholds": {"ks_max": 0.03, "min_gaps": 100_000},
+        "kappa_cut": 0.5, "thresholds": {"ks_max": 0.03, "min_gaps": 100_000},
     })
 
 
 def test_criterion_9_universality(tmp_path):
     _run_configs(tmp_path, "9 universality", 1800, {
         "experiment": "correlations", "ensemble": _ens("bernoulli"), "distribution_b": "gaussian",
-        "n": 1000, "samples": 100, "kappa_cut": 0.5, "workers": 1, "thresholds": {"ks_max": 0.05},
+        "n": 1000, "samples": 100, "kappa_cut": 0.5, "thresholds": {"ks_max": 0.05},
     })
 
 

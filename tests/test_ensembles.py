@@ -44,6 +44,16 @@ def test_wigner_profile_rejects_zero_dimension():
         wigner_profile(0)
 
 
+@pytest.mark.parametrize("n", [2, 7, 64, 99, 500])
+def test_closed_form_profile_spectra_match_eigvalsh(n):
+    from rmt_locallaw.runner import _SHAPES
+
+    profiles = [wigner_profile(n)]
+    profiles += [band_profile(n, w, shape) for shape in _SHAPES.values() for w in sorted({1, max(1, n // 8), n // 2})]
+    for p in profiles:
+        np.testing.assert_allclose(p.sigma_spectrum, np.linalg.eigvalsh(p.variances), rtol=0, atol=1e-12)
+
+
 def test_profile_row_action_on_constant_vector():
     for p in (wigner_profile(16), band_profile(40, 5, lambda x: max(0.0, 1.0 - abs(x)))):
         ones = np.ones(p.n)

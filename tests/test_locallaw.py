@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -302,15 +304,12 @@ def test_local_law_scan_rejects_out_of_domain_grid():
     assert "0.004" in str(err.value)
 
 
-def test_local_law_scan_golden_baseline():
-    # committed baseline from this implementation, cross-checked at generation
-    # time against the spectral-oracle resolvent; byte-identical on rerun
-    import json
-    import pathlib
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_locallaw.json"
 
-    path = pathlib.Path(__file__).parent / "data" / "golden_locallaw.json"
-    saved = path.read_text()
-    meta = json.loads(saved)
+
+def golden_scan_text() -> str:
+    """The golden file's scan, recomputed and serialized as the file is."""
+    meta = json.loads(GOLDEN.read_text())
     scan = local_law_scan(
         wigner_profile(meta["n"]),
         catalog_distribution("gaussian"),
@@ -323,7 +322,13 @@ def test_local_law_scan_golden_baseline():
         "seed": meta["seed"], "n": meta["n"], "E": meta["E"], "eta": meta["eta"],
         "samples": meta["samples"], "quantiles": scan.quantiles,
     }
-    assert json.dumps(doc, sort_keys=True, indent=1) == saved
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def test_local_law_scan_golden_baseline():
+    # committed baseline from this implementation, cross-checked at generation
+    # time against the spectral-oracle resolvent; byte-identical on rerun
+    assert golden_scan_text() == GOLDEN.read_text()
 
 
 def test_local_law_scan_quantiles_recomputable(tmp_path):

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from rmt_locallaw import runner
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.runner import (
     RunManifest,
@@ -49,6 +51,7 @@ BAD_VALUES = [
     (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 0.5, "gamma": 0.1}}),
      "distribution_b: "),
     (config("largedev", n=50, trials=10, distribution={"matched": {"m3": 0}}), "distribution: missing key 'm4'"),
+    (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=4.99), "report_sweep_m4_max must be"),
 ]
 
 
@@ -136,6 +139,28 @@ def test_run_writes_manifest_and_outputs(tmp_path):
     assert loaded.digests == manifest.digests
     assert loaded.acceptance == manifest.acceptance
     assert not any(name.startswith(".tmp-rmt-") for name in os.listdir(tmp_path))
+
+
+def test_report_sweep_m4_max_at_the_feasibility_bound_runs(tmp_path):
+    cfg = parse_config(config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=5))
+    assert run(cfg, str(tmp_path)).all_passed
+
+
+def test_manifest_environment_is_kept_out_of_digested_files(tmp_path, monkeypatch):
+    cfg = parse_config(minimal_config(workers=3))
+    m1 = run(cfg, str(tmp_path / "a"))
+    env = m1.environment
+    assert env["blas_threads"] == 1 and env["workers"] == 3 and env["affinity_cores"] >= 1
+    assert env["numpy"] == np.__version__ and env["blas"]
+    monkeypatch.setattr(runner, "_environment", lambda cfg: {})
+    m2 = run(cfg, str(tmp_path / "b"))
+    assert m2.digests == m1.digests and m2.environment == {}
+    for name in m1.digests:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    doc = json.loads((tmp_path / "a" / "rigidity.manifest.json").read_text())
+    assert doc["environment"] == env
+    del doc["environment"]  # manifests written before the field existed
+    assert RunManifest.from_json(json.dumps(doc)).environment == {}
 
 
 def test_report_table(tmp_path):
