@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import (
     ConvergenceError,
@@ -213,6 +212,7 @@ def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int 
 
 
 _SQRT3 = math.sqrt(3.0)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ class EntryDistribution:
         """Strict tail P(|xi| > u), exact for every catalog kind."""
         u = np.asarray(u, dtype=float)
         if self.kind == "gaussian":
-            out = erfc(u / math.sqrt(2.0))
+            out = _erfc(u / math.sqrt(2.0))
         elif self.kind == "uniform":
             out = np.clip(1.0 - u / _SQRT3, 0.0, 1.0)
         elif self.kind in ("bernoulli", "discrete-atoms"):
@@ -292,8 +292,8 @@ class EntryDistribution:
             probs = np.array([p for _, p in self.atoms])[None, :]
             if c2 == 0:
                 return self.tail(u)
-            upper = 0.5 * erfc((uu - c1 * vals) / (c2 * math.sqrt(2.0)))
-            lower = 0.5 * erfc((uu + c1 * vals) / (c2 * math.sqrt(2.0)))
+            upper = 0.5 * _erfc((uu - c1 * vals) / (c2 * math.sqrt(2.0)))
+            lower = 0.5 * _erfc((uu + c1 * vals) / (c2 * math.sqrt(2.0)))
             out = np.sum(probs * (upper + lower), axis=1).reshape(u.shape)
         else:
             raise NotFoundError(f"no tail formula for kind {self.kind!r}")

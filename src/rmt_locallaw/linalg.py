@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .ensembles import MatrixSample
 from .errors import ConvergenceError, DomainError, SolverError, SymmetryError
@@ -126,13 +125,12 @@ def resolvent(h, z: complex, t=()) -> ResolventSlice:
         raise DomainError(f"resolvent requires Im z > 0, got {z}")
     a = _as_matrix(h)
     keep = surviving_indices(a.shape[0], t)
-    am = a[np.ix_(keep, keep)].astype(complex)
+    am = a if keep.size == a.shape[0] else a[np.ix_(keep, keep)]
     m = am.shape[0]
     shifted = am - complex(z) * np.eye(m)
     try:
-        lu, piv = sla.lu_factor(shifted, check_finite=False)
-        g = sla.lu_solve((lu, piv), np.eye(m, dtype=complex), check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
+        g = np.linalg.inv(shifted)  # LAPACK zgesv: getrf + getrs against the identity
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"shifted solve failed at z={z}: {exc}") from exc
     if not np.all(np.isfinite(g)):
         raise SolverError(f"shifted solve produced non-finite entries at z={z}")

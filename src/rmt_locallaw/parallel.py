@@ -1,7 +1,7 @@
 """Order-preserving parallel map over independent sample jobs, and the one
 place that sets how many threads the BLAS may use.
 
-`pmap` runs its jobs on `workers` threads with every loaded OpenBLAS pinned
+`pmap` runs its jobs on `workers` threads with numpy's OpenBLAS pinned
 to BLAS_THREADS (1) thread, so the cores are shared out by jobs alone and
 none is oversubscribed. The pin also makes the BLAS thread count part of the
 numerical setup: LAPACK gives different last bits at different thread
@@ -20,12 +20,9 @@ from typing import Callable
 
 BLAS_THREADS = 1
 
-# (set, get, config) entry points of the OpenBLAS builds numpy and scipy ship;
-# numpy's 64-bit-integer copy carries the 64_ suffix.
-_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_", "scipy_openblas_get_config64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads", "scipy_openblas_get_config"),
-)
+# (set, get, config) entry points of the OpenBLAS build numpy ships; its
+# 64-bit-integer interface carries the 64_ suffix.
+_SYMBOLS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_", "scipy_openblas_get_config64_")
 
 
 def affinity_cores() -> int:
@@ -37,9 +34,6 @@ def affinity_cores() -> int:
 
 
 def default_workers() -> int:
-    env = os.environ.get("RMT_WORKERS")
-    if env:
-        return max(1, int(env))
     return max(1, min(4, affinity_cores()))
 
 
@@ -57,23 +51,22 @@ class BlasLibrary:
 def _load(path: str) -> BlasLibrary | None:
     # dlopen of a mapped library returns the handle already in use; loads nothing
     lib = ctypes.CDLL(path)
-    for set_sym, get_sym, config_sym in _SYMBOLS:
-        if hasattr(lib, set_sym):
-            setter, getter, config = getattr(lib, set_sym), getattr(lib, get_sym), getattr(lib, config_sym)
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            config.argtypes, config.restype = [], ctypes.c_char_p
-            return BlasLibrary(os.path.basename(path), config().decode().strip(), getter, setter)
-    return None
+    if not hasattr(lib, _SYMBOLS[0]):
+        return None
+    setter, getter, config = (getattr(lib, sym) for sym in _SYMBOLS)
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return BlasLibrary(os.path.basename(path), config().decode().strip(), getter, setter)
 
 
 _libraries: list | None = None
 
 
 def blas_libraries() -> list:
-    """The OpenBLAS copies mapped into this process (numpy's and scipy's),
-    found on the first call. Without /proc/self/maps the list is empty and
-    blas_threads pins nothing."""
+    """The OpenBLAS copies mapped into this process that carry numpy's entry
+    points, found on the first call. Without /proc/self/maps the list is
+    empty and blas_threads pins nothing."""
     global _libraries
     if _libraries is None:
         paths = []
@@ -99,7 +92,7 @@ _pin_saved: list = []
 
 @contextmanager
 def blas_threads(k: int):
-    """Run the block with every loaded OpenBLAS at k threads; the earlier
+    """Run the block with numpy's OpenBLAS at k threads; the earlier
     counts come back on exit, also when the block raises. Blocks may nest or
     overlap across threads, all with the same k."""
     global _pin_depth, _pin_threads, _pin_saved

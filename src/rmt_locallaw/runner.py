@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import dbm, locallaw, moments, stats
 from .csvio import csv_text
@@ -34,6 +33,7 @@ from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, Solv
 from .linalg import eigh
 from .parallel import BLAS_THREADS, affinity_cores, blas_libraries, default_workers, pmap
 from .seeding import derive_seed, generator
+from .semicircle import DOMAIN_VARIANTS
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
@@ -61,6 +61,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _one_of(*names) -> tuple:
+    return (lambda v: isinstance(v, str) and v in names), "one of " + ", ".join(map(repr, names))
+
+
 # value kind -> (check, what the error message says the value must be)
 _KINDS = {
     "int": (_is_int, "an integer"),
@@ -74,12 +78,19 @@ _KINDS = {
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
     "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
+    "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
+               "a non-empty list of numbers in (0, 1)"),
+    "variant": _one_of(*DOMAIN_VARIANTS),
+    "profile": _one_of("wigner", "band"),
+    "band_shape": _one_of(*_SHAPES),
     "str": (lambda v: isinstance(v, str), "a string"),
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
     "object": (lambda v: isinstance(v, dict), "an object"),
 }
 _DEFAULT_KINDS = {int: "int", float: "number", list: "numbers", str: "str"}
-_ENSEMBLE_KINDS = {"profile": "str", "distribution": "law", "beta": "int", "band_w": "count", "band_shape": "str"}
+_ENSEMBLE_KINDS = {
+    "profile": "profile", "distribution": "law", "beta": "int", "band_w": "count", "band_shape": "band_shape",
+}
 
 
 def _check(path: str, value, kind: str) -> None:
@@ -142,7 +153,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     exp = doc.get("experiment")
-    if exp not in _REGISTRY:
+    if not isinstance(exp, str) or exp not in _REGISTRY:
         raise ConfigError(f"unknown or missing experiment tag {exp!r}; known: {sorted(_REGISTRY)}")
     entry = _REGISTRY[exp]
     kinds = entry.kinds
@@ -206,15 +217,9 @@ def _resolve_distribution(spec, path: str) -> EntryDistribution:
 
 
 def _build_profile(ens: dict, n: int):
-    kind = ens.get("profile", "wigner")
-    if kind == "wigner":
+    if ens.get("profile", "wigner") == "wigner":
         return wigner_profile(n)
-    if kind == "band":
-        shape_name = ens.get("band_shape", "box")
-        if shape_name not in _SHAPES:
-            raise ConfigError(f"unknown band shape {shape_name!r}")
-        return band_profile(n, int(ens.get("band_w", max(1, n // 8))), _SHAPES[shape_name])
-    raise ConfigError(f"unknown profile kind {kind!r}")
+    return band_profile(n, int(ens.get("band_w", max(1, n // 8))), _SHAPES[ens.get("band_shape", "box")])
 
 
 def _ensemble(cfg: ExperimentConfig, n: int):
@@ -622,7 +627,7 @@ _REGISTRY = {
         {"sizes": "counts", "samples": "count"},
         {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0, "variant": "D", "log_alpha": 1.0},
         {"median_meta_m_err_max": 10.0, "flatness_ratio_max": 4.0, "median_sqrt_meta_lambda_d_max": 10.0},
-        checks={"eta_coeff": "positive"},
+        checks={"eta_coeff": "positive", "variant": "variant"},
     ),
     "rigidity": _Experiment(_exp_rigidity, {"n": "count", "samples": "count"}, {}, {"exponent": -1.0 / 7.0}),
     "counting": _Experiment(
@@ -640,7 +645,7 @@ _REGISTRY = {
         {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
         {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
         ensemble=False,
-        checks={"grid_count": "count", "report_sweep_m4_max": "sweep_m4"},
+        checks={"grid_count": "count", "gammas": "gammas", "report_sweep_m4_max": "sweep_m4"},
     ),
     "green-compare": _Experiment(
         _exp_green_compare,
@@ -671,7 +676,6 @@ def _environment(cfg: ExperimentConfig) -> dict:
         "workers": cfg.workers if cfg.workers is not None else default_workers(),
         "affinity_cores": affinity_cores(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 
@@ -746,14 +750,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(open(args.config).read())
+        if args.workers is not None:
+            _check("--workers", args.workers, "count")
+            cfg.workers = args.workers
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if cfg.experiment != args.command:
         print(f"config error: config is for {cfg.experiment!r}, not {args.command!r}", file=sys.stderr)
         return 2
-    if args.workers is not None:
-        cfg.workers = args.workers
     try:
         manifest = run(cfg, args.outdir)
     except ConfigError as exc:

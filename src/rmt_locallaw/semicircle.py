@@ -147,7 +147,7 @@ def theta_eval(point: SpectralPoint, ctrl: ControlFunction, variant: str = "exac
     return float(t1 + t2)
 
 
-_DOMAIN_VARIANTS = ("D", "D_theorem", "D_star")
+DOMAIN_VARIANTS = ("D", "D_theorem", "D_star")
 
 
 def in_domain(
@@ -171,7 +171,7 @@ def in_domain(
     every desk-scale grid, so by default it is frozen to 1; strict=True
     evaluates the literal (ln N)^(12+3a) / (ln N)^(24+6a) prefactor instead.
     """
-    if variant not in _DOMAIN_VARIANTS:
+    if variant not in DOMAIN_VARIANTS:
         raise ValueError(f"unknown domain variant {variant!r}")
     if m_param < 1:
         raise DomainError(f"m_param must be >= 1, got {m_param}")

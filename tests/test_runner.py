@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmt_locallaw import runner
 from rmt_locallaw.errors import ConfigError
@@ -52,6 +60,10 @@ BAD_VALUES = [
      "distribution_b: "),
     (config("largedev", n=50, trials=10, distribution={"matched": {"m3": 0}}), "distribution: missing key 'm4'"),
     (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=4.99), "report_sweep_m4_max must be"),
+    (config("locallaw-scan", sizes=[50], samples=1, variant="foo"), "variant must be"),
+    (config("moments-match", grid_count=1, gammas=[1.0], mc_draws=0), "gammas must be"),
+    (minimal_config(ensemble={"profile": "foo"}), "ensemble.profile must be"),
+    (minimal_config(ensemble={"profile": "band", "band_shape": "foo"}), "ensemble.band_shape must be"),
 ]
 
 
@@ -212,6 +224,13 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert main(["rigidity", "-c", str(tmp_path / "missing.json"), "-o", str(out)]) == 2
 
+    # --workers takes the config key's check
+    for workers in ("0", "-3"):
+        capsys.readouterr()
+        assert main(["rigidity", "-c", str(cfg_path), "-o", str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error") and "--workers must be" in err
+
     # bad keys, values and laws: one line naming the key
     for text, key in BAD_VALUES:
         bad.write_text(text)
@@ -247,3 +266,74 @@ def test_moment_target_grid_is_feasible_and_capped():
     for t in targets:
         assert t.m4 <= 10.0
         assert t.m4 - t.m3**2 - 1.0 >= 0.0
+
+
+_BAND = {"profile": "band", "band_w": 8, "band_shape": "triangle", "distribution": "bernoulli", "beta": 2}
+_GAUSS = {"profile": "wigner", "distribution": "gaussian", "beta": 2}
+
+# one small valid config per experiment tag; the fuzz test below mutates one key of it
+FUZZ_CONFIGS = {
+    "locallaw-scan": {"ensemble": _GAUSS, "sizes": [30, 40], "samples": 2, "variant": "D"},
+    "rigidity": {"ensemble": _BAND, "n": 40, "samples": 2},
+    "counting": {"ensemble": _GAUSS, "n": 40, "samples": 2, "a_exponent": 1},
+    "edge": {"ensemble": _BAND, "n": 40, "samples": 2, "epsilon": 0.05},
+    "dbm-gaps": {"ensemble": _BAND, "n": 40, "samples": 2, "times": [0.0, 0.5], "kappa_cut": 0.5},
+    "moments-match": {"grid_count": 4, "gammas": [0.01, 0.1], "mc_draws": 2000, "report_sweep_m4_max": 10.0},
+    "green-compare": {"ensemble": _GAUSS, "distribution_b": "uniform", "n": 40, "samples": 2, "e_values": [0.0]},
+    "largedev": {"distribution": "bernoulli", "n": 40, "trials": 20, "coefficient_case": "offdiagonal"},
+    "zmoments": {"ensemble": _GAUSS, "n": 40, "z": [0.0, 0.3], "samples": 2, "p_max": 2},
+    "correlations": {"ensemble": _BAND, "distribution_b": "gaussian", "n": 40, "samples": 2, "kappa_cut": 0.5},
+}
+FUZZ_VALUES = [None, "", [], {}, -1, 0, 1, 1.0, 0.5, "abc", [0.5, -0.1]]
+_DROP = object()
+# drawn integers stay at most 40, and at most these for the keys that set the run's size
+_INT_MAX = {"samples": 3, "workers": 2}
+# Monte Carlo sizes: never dropped (their defaults take long) and never enlarged
+_MC_SIZES = {"mc_draws", "grid_count", "trials"}
+
+
+@pytest.mark.parametrize("tag", sorted(FUZZ_CONFIGS))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_main_exit_code_is_total_on_mutated_configs(tag, data):
+    doc = json.loads(json.dumps({"experiment": tag, "seed": 7, "workers": 2, **FUZZ_CONFIGS[tag]}))
+    paths = [(key,) for key in doc] + [("ensemble", key) for key in doc.get("ensemble", {})]
+    int_max = {**_INT_MAX, **{key: doc[key] for key in _MC_SIZES if key in doc}}
+    required = {"experiment", "seed", *runner._REGISTRY[tag].required} - _MC_SIZES
+    fixed = [(path, value) for path in paths for value in FUZZ_VALUES] + [((key,), _DROP) for key in required]
+    ints = st.sampled_from(paths).flatmap(
+        lambda path: st.tuples(st.just(path), st.integers(-3, int_max.get(path[-1], 40))))
+    path, value = data.draw(st.one_of(st.sampled_from(fixed), ints))
+    holder = doc if len(path) == 1 else doc["ensemble"]
+    if value is _DROP:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([tag, "-c", cfg_path, "-o", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+_NO_SCIPY_PROBE = """
+import json, sys, tempfile
+from rmt_locallaw import runner
+
+for doc in ({"experiment": "locallaw-scan", "seed": 1, "sizes": [40], "samples": 2},
+            {"experiment": "rigidity", "seed": 1, "n": 40, "samples": 2}):
+    with tempfile.TemporaryDirectory() as out:
+        runner.run(runner.parse_config(json.dumps(doc)), out)
+print("scipy" in sys.modules)
+"""
+
+
+def test_runs_do_not_import_scipy():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(runner.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
