@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,23 +95,6 @@ class VarianceProfile:
 
     def column_sum_residual(self) -> float:
         return float(np.max(np.abs(self.variances.sum(axis=0) - 1.0)))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "variance-profile",
-                "profile_id": self.profile_id,
-                "n": self.n,
-                "variances": self.variances.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VarianceProfile":
-        obj = json.loads(text)
-        if obj.get("schema") != "variance-profile":
-            raise ValueError("not a variance-profile document")
-        return cls.from_variances(obj["variances"], profile_id=obj.get("profile_id", "custom"), validate=False)
 
 
 @dataclass
@@ -212,12 +194,11 @@ def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int 
 
 
 _SQRT3 = math.sqrt(3.0)
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
 class EntryDistribution:
-    """Standardized entry law (mean 0, variance 1) with known moments and tails.
+    """Standardized entry law (mean 0, variance 1) with known moments.
 
     kind is one of bernoulli | gaussian | uniform | discrete-atoms |
     gaussian-divisible; atoms holds (value, probability) pairs for the two
@@ -246,11 +227,6 @@ class EntryDistribution:
         if not self.dist_id:
             object.__setattr__(self, "dist_id", self.kind)
 
-    def atom_moment(self, k: int) -> float:
-        vals = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
-        return float(np.sum(probs * vals**k))
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(size)
@@ -271,33 +247,6 @@ class EntryDistribution:
         cum = np.cumsum([p for _, p in self.atoms])
         u = rng.random(size)
         return vals[np.searchsorted(cum, u, side="right").clip(0, len(vals) - 1)]
-
-    def tail(self, u) -> np.ndarray:
-        """Strict tail P(|xi| > u), exact for every catalog kind."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "gaussian":
-            out = _erfc(u / math.sqrt(2.0))
-        elif self.kind == "uniform":
-            out = np.clip(1.0 - u / _SQRT3, 0.0, 1.0)
-        elif self.kind in ("bernoulli", "discrete-atoms"):
-            vals = np.array([abs(v) for v, _ in self.atoms])
-            probs = np.array([p for _, p in self.atoms])
-            out = np.sum(probs[None, :] * (vals[None, :] > np.atleast_1d(u)[:, None]), axis=1)
-            out = out.reshape(u.shape)
-        elif self.kind == "gaussian-divisible":
-            c1 = math.sqrt(1.0 - self.gamma)
-            c2 = math.sqrt(self.gamma)
-            uu = np.atleast_1d(u)[:, None]
-            vals = np.array([v for v, _ in self.atoms])[None, :]
-            probs = np.array([p for _, p in self.atoms])[None, :]
-            if c2 == 0:
-                return self.tail(u)
-            upper = 0.5 * _erfc((uu - c1 * vals) / (c2 * math.sqrt(2.0)))
-            lower = 0.5 * _erfc((uu + c1 * vals) / (c2 * math.sqrt(2.0)))
-            out = np.sum(probs * (upper + lower), axis=1).reshape(u.shape)
-        else:
-            raise NotFoundError(f"no tail formula for kind {self.kind!r}")
-        return out if out.ndim else float(out)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -352,9 +301,6 @@ def catalog_distribution(name: str) -> EntryDistribution:
     raise NotFoundError(f"unknown distribution {name!r}")
 
 
-_MAGIC = b"RMT1"
-
-
 @dataclass(frozen=True)
 class MatrixSample:
     """One Hermitian sample tied to its profile, distribution and seed."""
@@ -368,40 +314,6 @@ class MatrixSample:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def to_bytes(self) -> bytes:
-        """Binary export: 'RMT1' | uint32 n | uint32 beta | uint64 seed | planes.
-
-        Planes are row-major little-endian float64: the real plane, then the
-        imaginary plane for beta = 2.
-        """
-        head = _MAGIC + struct.pack("<IIQ", self.n, self.symmetry_class, self.seed & (2**64 - 1))
-        real = self.entries.real.astype("<f8").tobytes()
-        if self.symmetry_class == 2:
-            return head + real + self.entries.imag.astype("<f8").tobytes()
-        return head + real
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, profile_id: str = "", dist_id: str = "") -> "MatrixSample":
-        if blob[:4] != _MAGIC or len(blob) < 20:
-            raise ValueError("bad magic or short header; not an RMT1 matrix blob")
-        n, beta, seed = struct.unpack("<IIQ", blob[4:20])
-        if beta not in (1, 2):
-            raise ValueError(f"symmetry class must be 1 or 2, got {beta}")
-        plane = n * n * 8
-        if len(blob) != 20 + beta * plane:
-            raise ValueError(f"blob has {len(blob)} bytes; n={n}, beta={beta} needs exactly {20 + beta * plane}")
-        real = np.frombuffer(blob[20 : 20 + plane], dtype="<f8").reshape(n, n)
-        if beta == 2:
-            imag = np.frombuffer(blob[20 + plane : 20 + 2 * plane], dtype="<f8").reshape(n, n)
-            entries = real + 1j * imag
-        else:
-            entries = real.copy()
-        entries.setflags(write=False)
-        return cls(symmetry_class=beta, entries=entries, profile_id=profile_id, dist_id=dist_id, seed=seed)
 
 
 def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int) -> MatrixSample:

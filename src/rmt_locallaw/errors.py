@@ -41,13 +41,5 @@ class NotFoundError(RMTError, LookupError):
     """Unknown catalog name."""
 
 
-class StatisticsError(RMTError, ValueError):
-    """Too few samples for the requested estimator."""
-
-
 class EmptyError(RMTError, ValueError):
     """Estimator invoked on an empty sample."""
-
-
-class StepError(RMTError, RuntimeError):
-    """SDE step could not resolve a particle collision."""

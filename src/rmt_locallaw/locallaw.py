@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import write_csv
 from .ensembles import EntryDistribution, MatrixSample, VarianceProfile, sample_matrix, validate_profile
 from .errors import ConfigError
 from .linalg import eigenvalues, resolvent, surviving_indices
@@ -214,9 +213,6 @@ class ScanResult:
 
     grid: list
     rows: list
-    sample_count: int
-    seed_base: int
-    edge_exponent_a: int
     quantiles: dict = field(default_factory=dict)
 
     def recompute_quantiles(self) -> dict:
@@ -231,23 +227,6 @@ class ScanResult:
                 meta[key] = {"median": float(np.median(vals)), "p90": float(np.quantile(vals, 0.9))}
             out[zi] = meta
         return out
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "locallaw-scan", SCAN_COLUMNS, [[r[c] for c in SCAN_COLUMNS] for r in self.rows])
-
-    def summary_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "grid": [[z.real, z.imag] for z in self.grid],
-                "sample_count": self.sample_count,
-                "seed_base": self.seed_base,
-                "edge_exponent_a": self.edge_exponent_a,
-                "quantiles": self.quantiles,
-            },
-            sort_keys=True,
-        )
 
 
 def local_law_scan(
@@ -276,7 +255,7 @@ def local_law_scan(
     grid = [complex(z) for z in z_grid]
     for z in grid:
         pt = SpectralPoint(z.real, z.imag)
-        if not in_domain(pt, ctrl, p.n, p.m_param, variant=variant, log_alpha=log_alpha):
+        if not in_domain(pt, ctrl, p.n, p.m_param, variant=variant):
             raise ConfigError(f"grid point z={z} fails the {variant} domain condition")
 
     def _job(args):
@@ -312,9 +291,7 @@ def local_law_scan(
 
     jobs = [(zi, si) for zi in range(len(grid)) for si in range(n_samples)]
     rows = pmap(_job, jobs, workers)
-    result = ScanResult(
-        grid=grid, rows=rows, sample_count=n_samples, seed_base=seed, edge_exponent_a=a_exp
-    )
+    result = ScanResult(grid=grid, rows=rows)
     result.quantiles = result.recompute_quantiles()
     return result
 
@@ -390,6 +367,9 @@ class LargeDeviationResult:
     trials: int
 
 
+COEFFICIENT_CASES = ("linear", "diagonal", "offdiagonal")
+
+
 def _wilson(k: int, n: int, z: float = 1.96):
     if n == 0:
         return 0.0, 1.0
@@ -418,7 +398,7 @@ def large_deviation_mc(
     Thresholds carry (ln N)^p prefactors: p = 3/2 + a, 3/2 + 2a, 3 + 2a for the
     three cases, a being the subexponential decay exponent.
     """
-    if coefficient_case not in ("linear", "diagonal", "offdiagonal"):
+    if coefficient_case not in COEFFICIENT_CASES:
         raise ConfigError(f"unknown coefficient case {coefficient_case!r}")
     alpha = d.subexp_alpha if log_alpha is None else log_alpha
     logn = math.log(max(n, 2))
@@ -465,7 +445,6 @@ class ZMomentTable:
 
     rows: list
     x_value: float
-    sample_count: int
 
     def ratio(self, p: int) -> float:
         for r in self.rows:
@@ -499,7 +478,7 @@ def z_average_moments(
     report = validate_profile(p)
     ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=report.edge_exponent_a)
     pt = SpectralPoint(z.real, z.imag)
-    if check_domain and not in_domain(pt, ctrl, p.n, max(p.m_param, 1.0), variant="D_star", log_alpha=log_alpha):
+    if check_domain and not in_domain(pt, ctrl, p.n, max(p.m_param, 1.0), variant="D_star"):
         raise ConfigError(f"z={z} fails the D_star domain condition")
 
     def _job(si):
@@ -522,4 +501,4 @@ def z_average_moments(
             stderr = float("nan")
         bound = bound_base**q
         rows.append({"p": q, "moment": est, "stderr": stderr, "bound": bound, "ratio": est / bound})
-    return ZMomentTable(rows=rows, x_value=x_val, sample_count=n_samples)
+    return ZMomentTable(rows=rows, x_value=x_val)

@@ -1,9 +1,8 @@
 """Four-moment arithmetic.
 
 Construction of standardized laws with prescribed third and fourth moments,
-the Gaussian-divisible moment transform, the approximate fourth-moment
-matching, the strict moment-gap criterion that separates Bernoulli from the
-smoother laws, and subexponential tail verification.
+the Gaussian-divisible moment transform and the approximate fourth-moment
+matching.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ __all__ = [
     "gaussian_divisible_transform",
     "match_four_moments",
     "m4_gap_slope",
-    "check_no3no4",
-    "subexp_verify",
-    "SubexpReport",
 ]
 
 _DEFAULT_M4_CAP = 100.0
@@ -160,34 +156,3 @@ def match_four_moments(t: MomentTarget, gamma: float) -> MatchedLaw:
         target=t,
         bound_asserted=abs(m4_gap_slope(t.m3, t.m4, gamma)) <= 4.0,
     )
-
-
-def check_no3no4(d: EntryDistribution):
-    """Moment-gap value m4/m2^2 - m3^2/m2^3 and strict > 1 flag (m2 = 1)."""
-    value = float(d.m4 - d.m3**2)
-    return value, value > 1.0
-
-
-@dataclass
-class SubexpReport:
-    max_ratio: float
-    passed: bool
-    worst_x: float
-
-
-def subexp_verify(d, alpha: float, beta_c: float, x_grid) -> SubexpReport:
-    """Worst ratio P(|xi| > x^alpha) / (beta_c e^(-x)) over a grid.
-
-    Uses exact (strict) tails: closed form for the catalog laws, atom sums
-    for discrete laws; any object exposing .tail(u) is accepted. Passes iff
-    the worst ratio is <= 1.
-    """
-    if alpha <= 0 or beta_c <= 0:
-        raise ConfigError("alpha and beta_c must be positive")
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(x <= 0):
-        raise ConfigError("x grid must be positive")
-    tails = np.asarray(d.tail(x**alpha), dtype=float)
-    ratios = tails / (beta_c * np.exp(-x))
-    worst = int(np.argmax(ratios))
-    return SubexpReport(max_ratio=float(ratios[worst]), passed=bool(ratios[worst] <= 1.0), worst_x=float(x[worst]))

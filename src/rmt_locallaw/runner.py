@@ -29,7 +29,7 @@ import numpy as np
 from . import dbm, locallaw, moments, stats
 from .csvio import csv_text
 from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
-from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError, StepError
+from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError
 from .linalg import eigh
 from .parallel import BLAS_THREADS, affinity_cores, blas_libraries, default_workers, pmap
 from .seeding import derive_seed, generator
@@ -69,6 +69,7 @@ def _one_of(*names) -> tuple:
 _KINDS = {
     "int": (_is_int, "an integer"),
     "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "draws": (lambda v: _is_int(v) and (v == 0 or v >= 2), "0 (no Monte Carlo) or an integer >= 2"),
     "counts": (lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 1 for x in v),
                "a non-empty list of integers >= 1"),
     "number": (_is_number, "a number"),
@@ -83,6 +84,8 @@ _KINDS = {
     "variant": _one_of(*DOMAIN_VARIANTS),
     "profile": _one_of("wigner", "band"),
     "band_shape": _one_of(*_SHAPES),
+    "functional": _one_of(*stats.FUNCTIONALS),
+    "coefficient_case": _one_of(*locallaw.COEFFICIENT_CASES),
     "str": (lambda v: isinstance(v, str), "a string"),
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
     "object": (lambda v: isinstance(v, dict), "an object"),
@@ -504,7 +507,7 @@ def _exp_moments_match(cfg: ExperimentConfig):
             gap = law.m4_gap
             ok_m3 &= m3_err <= thr["m3_tol"]
             ok_m4 &= gap <= thr["m4_gap_coeff"] * g + 1e-12
-            mc_ok = pr["mc_draws"] <= 0 or _mc_moments_ok(
+            mc_ok = pr["mc_draws"] == 0 or _mc_moments_ok(
                 law, law.to_distribution().sample(generator(cfg.seed, "mc", rng_idx), pr["mc_draws"]), thr["mc_sigma"]
             )
             ok_mc &= mc_ok
@@ -645,17 +648,19 @@ _REGISTRY = {
         {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
         {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
         ensemble=False,
-        checks={"grid_count": "count", "gammas": "gammas", "report_sweep_m4_max": "sweep_m4"},
+        checks={"grid_count": "count", "gammas": "gammas", "mc_draws": "draws", "report_sweep_m4_max": "sweep_m4"},
     ),
     "green-compare": _Experiment(
         _exp_green_compare,
         {"distribution_b": "law", "n": "count", "samples": "count"},
         {"e_values": [0.0], "eta_factor": 1.0, "functional": "trace"},
         {"zscore_max": 3.0},
+        checks={"functional": "functional"},
     ),
     "largedev": _Experiment(
         _exp_largedev, {"distribution": "law", "n": "count", "trials": "count"},
         {"coefficient_case": "offdiagonal"}, {"rate_max": 0.01}, ensemble=False,
+        checks={"coefficient_case": "coefficient_case"},
     ),
     "zmoments": _Experiment(
         _exp_zmoments, {"n": "count", "z": "point", "samples": "count"}, {"p_max": 2, "log_alpha": 1.0},
@@ -764,7 +769,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ConvergenceError, StepError, FloatingPointError) as exc:
+    except (SolverError, ConvergenceError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except RMTError as exc:

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import DomainError
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "classical_locations",
     "theta_eval",
     "in_domain",
-    "msc_asymptotics_check",
-    "AsymptoticsReport",
 ]
 
 
@@ -130,17 +126,8 @@ def classical_locations(n: int, tol: float = 1e-12, max_iter: int = 200) -> np.n
     return gamma
 
 
-def theta_eval(point: SpectralPoint, ctrl: ControlFunction, variant: str = "exact") -> float:
-    """Edge control function.
-
-    variant="exact":      1/|1 - m_sc^2| + 1/max(delta_plus, |Re m_sc^2 - 1|)
-    variant="simplified": (kappa + eta)^(-1/2), valid for comparable-variance
-                          profiles where delta_plus is order one.
-    """
-    if variant == "simplified":
-        return float((point.kappa + point.eta) ** -0.5)
-    if variant != "exact":
-        raise ValueError(f"unknown theta variant {variant!r}")
+def theta_eval(point: SpectralPoint, ctrl: ControlFunction) -> float:
+    """Edge control function 1/|1 - m_sc^2| + 1/max(delta_plus, |Re m_sc^2 - 1|)."""
     m2 = msc_eval(point) ** 2
     t1 = 1.0 / abs(1.0 - m2)
     t2 = 1.0 / max(ctrl.delta_plus, abs(m2.real - 1.0))
@@ -156,8 +143,6 @@ def in_domain(
     n: int,
     m_param: float,
     variant: str = "D",
-    log_alpha: float = 1.0,
-    strict: bool = False,
 ) -> bool:
     """Admissibility of z for the scan domains.
 
@@ -167,9 +152,9 @@ def in_domain(
       D_theorem: sqrt(M*eta) >= P * theta(z)^2 * (kappa+eta)^(1/4)
       D_star:    M*eta       >= P * theta(z)^4 * (kappa+eta)^(1/2)
 
-    The asymptotic prefactor P is a power of log N whose literal value empties
-    every desk-scale grid, so by default it is frozen to 1; strict=True
-    evaluates the literal (ln N)^(12+3a) / (ln N)^(24+6a) prefactor instead.
+    The asymptotic prefactor P is a power of log N, (ln N)^(12+3a) for D and
+    D_theorem and (ln N)^(24+6a) for D_star (a the log exponent), whose
+    literal value empties every desk-scale grid, so it is frozen to 1.
     """
     if variant not in DOMAIN_VARIANTS:
         raise ValueError(f"unknown domain variant {variant!r}")
@@ -179,80 +164,9 @@ def in_domain(
         return False
     ke = point.kappa + point.eta
     meta = m_param * point.eta
-    logn = math.log(n) if n > 1 else 1.0
     if variant == "D":
-        pref = logn ** (12 + 3 * log_alpha) if strict else 1.0
-        return math.sqrt(meta) >= pref * ke ** (0.25 - ctrl.edge_exponent_a)
+        return math.sqrt(meta) >= ke ** (0.25 - ctrl.edge_exponent_a)
     theta = theta_eval(point, ctrl)
     if variant == "D_theorem":
-        pref = logn ** (12 + 3 * log_alpha) if strict else 1.0
-        return math.sqrt(meta) >= pref * theta**2 * ke**0.25
-    pref = logn ** (24 + 6 * log_alpha) if strict else 1.0
-    return meta >= pref * theta**4 * math.sqrt(ke)
-
-
-@dataclass
-class AsymptoticsReport:
-    """Grid report of the m_sc comparability claims.
-
-    rows: one dict per grid point with the raw values;
-    ratio_bounds: claim name -> (min, max) of observed/reference over the grid.
-    """
-
-    rows: list
-    ratio_bounds: dict
-    max_identity_residual: float
-    max_abs_msc: float
-
-    def to_csv(self, path) -> None:
-        rows = ([r["E"], r["eta"], r["kappa"], c["name"], c["value"], c["bound"], c["ratio"]]
-                for r in self.rows for c in r["claims"])
-        write_csv(path, "msc-asymptotics", ["E", "eta", "kappa", "claim", "value", "bound", "ratio"], rows)
-
-
-def msc_asymptotics_check(
-    grid: Iterable[SpectralPoint] | Sequence[SpectralPoint],
-    ctrl: ControlFunction | None = None,
-) -> AsymptoticsReport:
-    """Evaluate the m_sc size claims on a grid and report observed ratios.
-
-    Checks pointwise |m_sc| <= 1 and the algebraic identity
-    |m_sc|*|m_sc + z| = 1; for each comparability claim f ~ g it records the
-    ratio f/g so constants can be reported rather than assumed.
-    """
-    ctrl = ctrl or ControlFunction()
-    rows = []
-    ratios: dict[str, list] = {}
-    max_resid = 0.0
-    max_abs = 0.0
-    for pt in grid:
-        if abs(pt.e) > 5.0 or not (0 < pt.eta <= 10.0):
-            raise DomainError(f"grid point outside |E|<=5, 0<eta<=10: {pt}")
-        z = pt.z
-        m = msc_eval(pt)
-        ke = pt.kappa + pt.eta
-        max_resid = max(max_resid, abs(abs(m) * abs(m + z) - 1.0))
-        max_abs = max(max_abs, abs(m))
-        claims = []
-
-        def _claim(name, value, bound):
-            ratio = value / bound if bound > 0 else math.inf
-            claims.append({"name": name, "value": value, "bound": bound, "ratio": ratio})
-            ratios.setdefault(name, []).append(ratio)
-
-        if pt.eta >= 10.0:
-            _claim("abs_msc_vs_inv_eta", abs(m), 1.0 / pt.eta)
-            _claim("one_minus_msq_vs_one", abs(1.0 - m * m), 1.0)
-        else:
-            _claim("abs_msc_vs_one", abs(m), 1.0)
-            _claim("one_minus_msq_vs_sqrt", abs(1.0 - m * m), math.sqrt(ke))
-            if abs(pt.e) >= 2.0:
-                ref = pt.eta / math.sqrt(ke) if pt.kappa >= pt.eta else math.sqrt(ke)
-                _claim("im_msc_outside", m.imag, ref)
-            else:
-                _claim("im_msc_inside", m.imag, math.sqrt(ke))
-        theta = theta_eval(pt, ctrl)
-        _claim("upper_immsc_plus_invtheta", m.imag + 1.0 / theta, min(1.0, math.sqrt(ke)))
-        rows.append({"E": pt.e, "eta": pt.eta, "kappa": pt.kappa, "claims": claims})
-    bounds = {name: (min(vals), max(vals)) for name, vals in ratios.items()}
-    return AsymptoticsReport(rows, bounds, max_resid, max_abs)
+        return math.sqrt(meta) >= theta**2 * ke**0.25
+    return meta >= theta**4 * math.sqrt(ke)

@@ -1,5 +1,4 @@
-"""Unfolding, gap statistics, correlation estimators and two-ensemble
-comparisons.
+"""Unfolding, gap statistics and two-ensemble comparisons.
 
 Reference statistics for the Gaussian ensembles are sampled empirically at
 the same matrix size rather than taken from closed-form kernels, so
@@ -9,28 +8,23 @@ finite-size effects cancel in comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .ensembles import EntryDistribution, VarianceProfile, sample_matrix
-from .errors import ConfigError, EmptyError, StatisticsError
+from .errors import ConfigError, EmptyError
 from .linalg import eigenvalues, eigh
 from .parallel import pmap
 from .seeding import derive_seed
-from .semicircle import nsc_eval, rho_sc
+from .semicircle import nsc_eval
 
 __all__ = [
     "UnfoldedSample",
     "EmpiricalCDF",
-    "CorrelationEstimate",
     "GreenComparisonReport",
     "unfold",
-    "gap_distribution",
     "ks_distance",
-    "sine_kernel",
-    "kpoint_estimate",
     "green_comparison",
 ]
 
@@ -41,7 +35,6 @@ class UnfoldedSample:
 
     points: np.ndarray
     bulk_mask: np.ndarray
-    source: str = ""
 
     @property
     def bulk_points(self) -> np.ndarray:
@@ -52,17 +45,13 @@ class UnfoldedSample:
         return np.diff(pts) if pts.size >= 2 else np.empty(0)
 
 
-def unfold(spectrum, kappa_cut: float, source: str = "", matrix_dim: int | None = None) -> UnfoldedSample:
-    """Unfold a sorted spectrum; bulk = eigenvalues with |lambda| <= 2 - kappa_cut.
-
-    matrix_dim overrides N when the input is a partial list of eigenvalues.
-    """
+def unfold(spectrum, kappa_cut: float) -> UnfoldedSample:
+    """Unfold a full spectrum; bulk = eigenvalues with |lambda| <= 2 - kappa_cut."""
     if not 0 < kappa_cut < 2:
         raise ConfigError(f"kappa_cut must be in (0, 2), got {kappa_cut}")
     lam = eigenvalues(spectrum)
-    n = matrix_dim if matrix_dim is not None else lam.size
-    points = n * nsc_eval(lam)
-    return UnfoldedSample(points=np.atleast_1d(points), bulk_mask=np.abs(lam) <= 2.0 - kappa_cut, source=source)
+    points = lam.size * nsc_eval(lam)
+    return UnfoldedSample(points=np.atleast_1d(points), bulk_mask=np.abs(lam) <= 2.0 - kappa_cut)
 
 
 class EmpiricalCDF:
@@ -84,19 +73,6 @@ class EmpiricalCDF:
     def jumps(self) -> np.ndarray:
         return np.unique(self.values)
 
-    def to_csv(self, path, schema: str = "empirical-cdf") -> None:
-        jumps = self.jumps
-        write_csv(path, schema, ["value", "cdf"], zip(jumps, self(jumps)))
-
-
-def gap_distribution(samples) -> EmpiricalCDF:
-    """Empirical CDF of consecutive bulk gaps pooled over unfolded samples."""
-    pools = [s.bulk_gaps() for s in samples]
-    gaps = np.concatenate(pools) if pools else np.empty(0)
-    if gaps.size == 0:
-        raise EmptyError("no bulk gaps available")
-    return EmpiricalCDF(gaps)
-
 
 def ks_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Two-sample Kolmogorov-Smirnov distance, exact over the merged jump set."""
@@ -104,116 +80,7 @@ def ks_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     return float(np.max(np.abs(a(grid) - b(grid))))
 
 
-def sine_kernel(x):
-    """K(x) = sin(pi x)/(pi x), continuously extended with K(0) = 1."""
-    out = np.sinc(np.asarray(x, dtype=float))
-    return out if out.ndim else float(out)
-
-
-@dataclass
-class CorrelationEstimate:
-    """Binned locally-rescaled k-point correlation with per-bin errors."""
-
-    k: int
-    bins: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray
-    mass: float
-    test_integral: float | None = None
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bins[1:] + self.bins[:-1])
-
-    def to_csv(self, path) -> None:
-        c = self.centers
-        if self.values.ndim == 1:
-            write_csv(path, f"kpoint-{self.k}", ["alpha", "value", "stderr"], zip(c, self.values, self.stderr))
-        else:
-            rows = ([c1, c2, self.values[i1, i2], self.stderr[i1, i2]]
-                    for i1, c1 in enumerate(c) for i2, c2 in enumerate(c))
-            write_csv(path, f"kpoint-{self.k}", ["alpha1", "alpha2", "value", "stderr"], rows)
-
-
-def kpoint_estimate(samples, k: int, e: float, b: float, bins, test_fn=None, matrix_dim: int | None = None) -> CorrelationEstimate:
-    """Histogram estimator of the locally rescaled k-point correlation.
-
-    Offsets alpha are measured in units of the local mean spacing
-    1/(N rho_sc(E)); the estimate is averaged over the energy window
-    [E-b, E+b] and normalized so an uncorrelated (Poisson) point field of
-    matching density gives 1 in every bin. k = 3 returns a 2D offset grid.
-    matrix_dim overrides N when the samples are windows rather than full
-    spectra.
-    """
-    if k not in (1, 2, 3):
-        raise ConfigError(f"k must be 1, 2 or 3, got {k}")
-    if not abs(e) < 2:
-        raise ConfigError(f"window center must satisfy |E| < 2, got {e}")
-    if b <= 0:
-        raise ConfigError("window half-width b must be positive")
-    samples = list(samples)
-    if len(samples) < 1:
-        raise StatisticsError("at least one sample is required")
-    bins = np.asarray(bins, dtype=float)
-    widths = np.diff(bins)
-    rho = rho_sc(e)
-    per_sample = []
-    for s in samples:
-        lam = eigenvalues(s)
-        n = matrix_dim if matrix_dim is not None else lam.size
-        scale = n * rho
-        if k == 1:
-            centers = 0.5 * (bins[1:] + bins[:-1])
-            lo = np.searchsorted(lam, e - b + centers / scale, side="left")
-            hi = np.searchsorted(lam, e + b + centers / scale, side="right")
-            per_sample.append((hi - lo) / (2.0 * b * scale))
-            continue
-        refs = lam[(lam >= e - b) & (lam <= e + b)]
-        if refs.size < k - 1:
-            raise StatisticsError(f"too few eigenvalues in the window for k={k}")
-        if k == 2:
-            hist = np.zeros(bins.size - 1)
-            for lam_j in refs:
-                lo = np.searchsorted(lam, lam_j + bins[0] / scale, side="left")
-                hi = np.searchsorted(lam, lam_j + bins[-1] / scale, side="right")
-                u = (lam[lo:hi] - lam_j) * scale
-                u = u[np.abs(u) > 1e-12]  # drop the reference point itself
-                hist += np.histogram(u, bins=bins)[0]
-            per_sample.append(hist / (2.0 * b * scale * widths))
-        else:
-            hist = np.zeros((bins.size - 1, bins.size - 1))
-            for lam_j in refs:
-                lo = np.searchsorted(lam, lam_j + bins[0] / scale, side="left")
-                hi = np.searchsorted(lam, lam_j + bins[-1] / scale, side="right")
-                u = (lam[lo:hi] - lam_j) * scale
-                u = u[np.abs(u) > 1e-12]
-                if u.size < 2:
-                    continue
-                u1 = np.repeat(u, u.size)
-                u2 = np.tile(u, u.size)
-                distinct = np.abs(u1 - u2) > 1e-12
-                hist += np.histogram2d(u1[distinct], u2[distinct], bins=(bins, bins))[0]
-            per_sample.append(hist / (2.0 * b * scale * np.outer(widths, widths)))
-    stacked = np.stack(per_sample)
-    values = stacked.mean(axis=0)
-    stderr = (
-        stacked.std(axis=0, ddof=1) / math.sqrt(len(per_sample))
-        if len(per_sample) > 1
-        else np.full_like(values, np.nan)
-    )
-    mass = float(values.mean())
-    integral = None
-    if test_fn is not None:
-        centers = 0.5 * (bins[1:] + bins[:-1])
-        if k in (1, 2):
-            integral = float(np.sum(test_fn(centers) * values * widths))
-        else:
-            c1, c2 = np.meshgrid(centers, centers, indexing="ij")
-            integral = float(np.sum(test_fn(c1, c2) * values * np.outer(widths, widths)))
-    return CorrelationEstimate(k=k, bins=bins, values=values, stderr=stderr, mass=mass, test_integral=integral)
-
-
-_FUNCTIONALS = {
+FUNCTIONALS = {
     "trace": lambda m: (m.real, m.imag),
     "abs2": lambda m: (abs(m) ** 2,),
     "smooth_log": lambda m: (math.log1p(abs(m) ** 2),),
@@ -281,8 +148,8 @@ def green_comparison(
     |E| <= 2 - 2*kappa_cut. The report carries jackknife standard errors and
     the fourth-moment mismatch of the component laws.
     """
-    if functional not in _FUNCTIONALS:
-        raise ConfigError(f"unknown functional {functional!r}; catalog: {sorted(_FUNCTIONALS)}")
+    if functional not in FUNCTIONALS:
+        raise ConfigError(f"unknown functional {functional!r}; catalog: {sorted(FUNCTIONALS)}")
     n = p.n
     z_list = [complex(z) for z in z_list]
     lo = n ** (-1.0 - eta_epsilon) * (1.0 - slack)
@@ -293,7 +160,7 @@ def green_comparison(
         if abs(z.real) > 2.0 - 2.0 * kappa_cut:
             raise ConfigError(f"|E|={abs(z.real)} outside the bulk window {2.0 - 2.0 * kappa_cut}")
 
-    fn = _FUNCTIONALS[functional]
+    fn = FUNCTIONALS[functional]
 
     def _job(si):
         s = derive_seed(seed, si)
@@ -306,7 +173,7 @@ def green_comparison(
     stats = pmap(_job, list(range(n_samples)), workers)
     rows = []
     for zi, z in enumerate(z_list):
-        n_stats = len(_FUNCTIONALS[functional](0j))
+        n_stats = len(FUNCTIONALS[functional](0j))
         for comp in range(n_stats):
             va = np.array([s[0][zi][comp] for s in stats])
             vb = np.array([s[1][zi][comp] for s in stats])

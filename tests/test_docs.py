@@ -1,0 +1,27 @@
+"""The README's library tour runs, and every exported name exists."""
+
+import importlib
+import pathlib
+import pkgutil
+import re
+
+import pytest
+
+import rmt_locallaw
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+MODULES = ["rmt_locallaw"] + [f"rmt_locallaw.{m.name}" for m in pkgutil.iter_modules(rmt_locallaw.__path__)]
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    for attr in getattr(module, "__all__", []):
+        assert hasattr(module, attr), f"{name}.__all__ lists {attr!r}, which does not exist"

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from scipy.integrate import quad
 
 from rmt_locallaw.ensembles import (
     EntryDistribution,
-    MatrixSample,
     VarianceProfile,
     band_profile,
     catalog_distribution,
@@ -125,15 +123,15 @@ def test_sample_determinism_and_seed_sensitivity():
     a = sample_matrix(p, d, 2, seed=9)
     b = sample_matrix(p, d, 2, seed=9)
     c = sample_matrix(p, d, 2, seed=10)
-    assert a.to_bytes() == b.to_bytes()
-    assert a.to_bytes() != c.to_bytes()
+    assert np.array_equal(a.entries, b.entries)
+    assert not np.array_equal(a.entries, c.entries)
 
 
 def test_sample_exact_hermitian_bitwise():
     p = wigner_profile(31)
     for beta in (1, 2):
         s = sample_matrix(p, catalog_distribution("gaussian"), beta, seed=5)
-        assert s.hermiticity_defect() == 0.0
+        assert np.array_equal(s.entries, s.entries.conj().T)
         assert np.all(np.imag(np.diag(s.entries)) == 0.0)
 
 
@@ -208,44 +206,7 @@ def test_distribution_moment_feasibility():
         assert d.m4 - d.m3**2 - 1.0 >= 0.0
 
 
-def test_profile_json_roundtrip():
-    p = band_profile(12, 3, lambda x: math.exp(-x * x))
-    q = VarianceProfile.from_json(p.to_json())
-    np.testing.assert_array_equal(np.asarray(p.variances), np.asarray(q.variances))
-    assert q.profile_id == p.profile_id
-
-
 def test_distribution_json_roundtrip():
     d = catalog_distribution("bernoulli")
     e = EntryDistribution.from_json(d.to_json())
     assert e == d
-
-
-def test_matrix_binary_roundtrip():
-    p = wigner_profile(9)
-    for beta in (1, 2):
-        s = sample_matrix(p, catalog_distribution("gaussian"), beta, seed=31)
-        blob = s.to_bytes()
-        assert blob[:4] == b"RMT1"
-        t = MatrixSample.from_bytes(blob)
-        assert t.n == 9 and t.symmetry_class == beta and t.seed == 31
-        np.testing.assert_array_equal(np.asarray(t.entries), np.asarray(s.entries))
-
-
-def test_matrix_binary_rejects_bad_magic():
-    with pytest.raises(ValueError):
-        MatrixSample.from_bytes(b"XXXX" + b"\0" * 32)
-    real = sample_matrix(wigner_profile(4), catalog_distribution("gaussian"), 1, seed=32).to_bytes()
-    cplx = sample_matrix(wigner_profile(4), catalog_distribution("gaussian"), 2, seed=32).to_bytes()
-    as_beta3 = real[:8] + struct.pack("<I", 3) + real[12:]
-    as_beta1 = cplx[:8] + struct.pack("<I", 1) + cplx[12:]
-    for blob, words in (
-        (real[:12], "header"),
-        (as_beta3, "1 or 2, got 3"),
-        (real + b"\0", "needs exactly"),
-        (as_beta1, "needs exactly"),
-        (real[:-8], "needs exactly"),
-        (cplx[:-1], "needs exactly"),
-    ):
-        with pytest.raises(ValueError, match=words):
-            MatrixSample.from_bytes(blob)

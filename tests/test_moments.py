@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rmt_locallaw.ensembles import EntryDistribution, catalog_distribution
+from rmt_locallaw.ensembles import EntryDistribution
 from rmt_locallaw.errors import ConfigError, MomentInfeasibleError
 from rmt_locallaw.moments import (
     MomentTarget,
-    check_no3no4,
     gaussian_divisible_transform,
     match_four_moments,
-    subexp_verify,
     three_point_construct,
 )
 from rmt_locallaw.seeding import generator
@@ -148,51 +146,3 @@ def test_matched_law_distribution_roundtrip_and_sampling():
         mk = x**k
         se = mk.std(ddof=1) / math.sqrt(x.size)
         assert abs(mk.mean() - want) <= 5 * se
-
-
-def test_no3no4_catalog():
-    val, ok = check_no3no4(catalog_distribution("bernoulli"))
-    assert val == 1.0 and ok is False  # the excluded two-point class
-    val, ok = check_no3no4(catalog_distribution("gaussian"))
-    assert val == 3.0 and ok is True
-    val, ok = check_no3no4(catalog_distribution("uniform"))
-    assert val == pytest.approx(1.8) and ok is True
-
-
-def test_subexp_bernoulli_any_alpha():
-    d = catalog_distribution("bernoulli")
-    for alpha in (0.5, 1.0, 2.0):
-        rep = subexp_verify(d, alpha, 1.0, np.linspace(1.0, 50.0, 500))
-        assert rep.passed
-        assert rep.max_ratio == 0.0
-
-
-def test_subexp_gaussian():
-    rep = subexp_verify(catalog_distribution("gaussian"), 1.0, 2.0, np.linspace(1.0, 50.0, 500))
-    assert rep.passed
-
-
-def test_subexp_heavy_tail_fails():
-    class HeavyTail:
-        def tail(self, u):
-            u = np.asarray(u, dtype=float)
-            return np.minimum(1.0, u ** -4.0)
-
-    rep = subexp_verify(HeavyTail(), 1.0, 2.0, np.linspace(1.0, 80.0, 500))
-    assert not rep.passed
-    assert rep.worst_x > 10
-
-
-def test_subexp_stored_parameters_hold():
-    for name in ("bernoulli", "gaussian", "uniform"):
-        d = catalog_distribution(name)
-        rep = subexp_verify(d, d.subexp_alpha, d.subexp_beta, np.geomspace(0.01, 60.0, 800))
-        assert rep.passed, name
-
-
-def test_subexp_rejects_bad_arguments():
-    d = catalog_distribution("gaussian")
-    with pytest.raises(ConfigError):
-        subexp_verify(d, -1.0, 1.0, [1.0])
-    with pytest.raises(ConfigError):
-        subexp_verify(d, 1.0, 1.0, [0.0, 1.0])

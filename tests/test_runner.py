@@ -64,6 +64,10 @@ BAD_VALUES = [
     (config("moments-match", grid_count=1, gammas=[1.0], mc_draws=0), "gammas must be"),
     (minimal_config(ensemble={"profile": "foo"}), "ensemble.profile must be"),
     (minimal_config(ensemble={"profile": "band", "band_shape": "foo"}), "ensemble.band_shape must be"),
+    (config("green-compare", n=40, samples=2, distribution_b="uniform", functional="abc"), "functional must be"),
+    (config("largedev", n=40, trials=10, distribution="bernoulli", coefficient_case="abc"), "coefficient_case must be"),
+    (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=1), "mc_draws must be"),
+    (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=-3), "mc_draws must be"),
 ]
 
 
@@ -231,13 +235,15 @@ def test_main_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error") and "--workers must be" in err
 
-    # bad keys, values and laws: one line naming the key
+    # bad keys, values and laws: one line naming the key, and no output directory
+    never = tmp_path / "never"
     for text, key in BAD_VALUES:
         bad.write_text(text)
         capsys.readouterr()
-        assert main([json.loads(text)["experiment"], "-c", str(bad), "-o", str(out)]) == 2
+        assert main([json.loads(text)["experiment"], "-c", str(bad), "-o", str(never)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error") and key in err
+        assert not never.exists()
 
 
 def test_main_report_subcommand(tmp_path, capsys):

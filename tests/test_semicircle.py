@@ -7,12 +7,10 @@ from scipy.optimize import brentq
 
 from rmt_locallaw.errors import DomainError
 from rmt_locallaw.semicircle import (
-    AsymptoticsReport,
     ControlFunction,
     SpectralPoint,
     classical_locations,
     in_domain,
-    msc_asymptotics_check,
     msc_eval,
     nsc_eval,
     rho_sc,
@@ -138,11 +136,6 @@ def test_theta_small_eta_center():
     assert t == pytest.approx(1.0, rel=0.05)  # msc^2 ~ -1 so both denominators ~ 2
 
 
-def test_theta_simplified():
-    pt = SpectralPoint(2.0, 4.0)  # kappa + eta = 4
-    assert theta_eval(pt, ControlFunction(), variant="simplified") == 0.5
-
-
 def test_theta_lower_bound_and_edge_power():
     ctrl = ControlFunction(delta_plus=1.0, edge_exponent_a=1)
     rng = np.random.default_rng(2)
@@ -155,13 +148,6 @@ def test_theta_lower_bound_and_edge_power():
         worst_c = max(worst_c, t * (pt.kappa + pt.eta) ** 0.5)
     # constant in theta <= C (kappa+eta)^(-A/2) reported, generous bracket
     assert worst_c < 50
-
-
-def test_theta_simplified_monotone_in_eta():
-    for e in (0.0, 1.0, 1.9):
-        etas = np.linspace(1e-4, 10, 200)
-        vals = [theta_eval(SpectralPoint(e, eta), ControlFunction(), variant="simplified") for eta in etas]
-        assert np.all(np.diff(vals) <= 1e-15)
 
 
 def test_in_domain_large_eta_everywhere():
@@ -189,45 +175,3 @@ def test_in_domain_flips_monotonically_in_eta():
     flags = [in_domain(SpectralPoint(4.9, float(eta)), ctrl, n, float(n), "D_theorem") for eta in etas]
     assert flags[0] is False and flags[-1] is True
     assert np.all(np.diff(np.asarray(flags, dtype=int)) >= 0)
-
-
-def test_in_domain_strict_is_stricter():
-    ctrl = ControlFunction()
-    pt = SpectralPoint(0.0, 0.05)
-    n = 1000
-    assert in_domain(pt, ctrl, n, float(n), "D_star")
-    assert not in_domain(pt, ctrl, n, float(n), "D_star", strict=True)
-
-
-def test_asymptotics_identity_and_eta10():
-    pts = [SpectralPoint(e, 10.0) for e in np.linspace(-5, 5, 41)]
-    rep = msc_asymptotics_check(pts)
-    assert isinstance(rep, AsymptoticsReport)
-    assert rep.max_identity_residual < 1e-12
-    assert rep.max_abs_msc <= 1 + 1e-12
-    lo, hi = rep.ratio_bounds["abs_msc_vs_inv_eta"]
-    assert 0.05 < lo <= hi < 20
-
-
-def test_asymptotics_outside_edge():
-    rep = msc_asymptotics_check([SpectralPoint(2.5, 1e-3)])
-    lo, hi = rep.ratio_bounds["im_msc_outside"]
-    assert 0.1 < lo <= hi < 10
-
-
-def test_asymptotics_rejects_out_of_range_grid():
-    with pytest.raises(DomainError):
-        msc_asymptotics_check([SpectralPoint(6.0, 1.0)])
-
-
-def test_asymptotics_csv_export(tmp_path):
-    pts = [SpectralPoint(e, eta) for e in (-2.5, 0.0, 2.5) for eta in (1e-3, 1.0)]
-    rep = msc_asymptotics_check(pts)
-    out = tmp_path / "grid.csv"
-    rep.to_csv(out)
-    text = out.read_text()
-    assert text.startswith("# rmt-locallaw v1 schema=msc-asymptotics\nE,eta,kappa,claim,value,bound,ratio\n")
-    claims = [c["name"] for r in rep.rows for c in r["claims"]]
-    lines = text.splitlines()[2:]
-    assert len(lines) == len(claims) > len(pts)
-    assert [line.split(",")[3] for line in lines] == claims

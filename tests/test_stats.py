@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,17 +5,8 @@ from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_p
 from rmt_locallaw.errors import ConfigError, EmptyError
 from rmt_locallaw.linalg import eigh
 from rmt_locallaw.moments import MomentTarget, match_four_moments
-from rmt_locallaw.seeding import generator
-from rmt_locallaw.semicircle import classical_locations, rho_sc
-from rmt_locallaw.stats import (
-    EmpiricalCDF,
-    gap_distribution,
-    green_comparison,
-    kpoint_estimate,
-    ks_distance,
-    sine_kernel,
-    unfold,
-)
+from rmt_locallaw.semicircle import classical_locations
+from rmt_locallaw.stats import EmpiricalCDF, UnfoldedSample, green_comparison, ks_distance, unfold
 
 
 def gue_spectra(n, count, seed=50):
@@ -26,9 +15,14 @@ def gue_spectra(n, count, seed=50):
     return [eigh(sample_matrix(p, d, 2, seed + k), compute_vectors=False).eigenvalues for k in range(count)]
 
 
-def test_unfold_single_point_with_external_dim():
-    u = unfold(np.array([0.0]), 0.5, matrix_dim=10)
-    assert u.points[0] == pytest.approx(5.0, abs=1e-12)
+def gap_cdf(samples):
+    """Pooled bulk-gap CDF, built as the dbm-gaps and correlations experiments build it."""
+    return EmpiricalCDF(np.concatenate([s.bulk_gaps() for s in samples]))
+
+
+def test_unfold_single_point():
+    u = unfold(np.array([0.0]), 0.5)
+    assert u.points[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_unfold_classical_locations_integer_sequence():
@@ -53,26 +47,23 @@ def test_unfold_gue_bulk_mean_spacing():
 
 
 def test_gap_distribution_simple():
-    u = unfold(np.array([0.0]), 0.5, matrix_dim=1)  # placeholder source
-    sample = type(u)(points=np.array([1.0, 2.0, 4.0]), bulk_mask=np.array([True, True, True]))
-    cdf = gap_distribution([sample])
+    sample = UnfoldedSample(points=np.array([1.0, 2.0, 4.0]), bulk_mask=np.array([True, True, True]))
+    cdf = gap_cdf([sample])
     np.testing.assert_array_equal(cdf.values, [1.0, 2.0])
 
 
 def test_gap_distribution_degenerate_points():
-    sample_cls = type(unfold(np.array([0.0]), 0.5))
-    s = sample_cls(points=np.array([2.0, 2.0, 2.0]), bulk_mask=np.array([True] * 3))
-    cdf = gap_distribution([s])
+    s = UnfoldedSample(points=np.array([2.0, 2.0, 2.0]), bulk_mask=np.array([True] * 3))
+    cdf = gap_cdf([s])
     assert np.all(cdf.values == 0.0)
     assert cdf(0.0) == 1.0
     assert cdf(-1e-9) == 0.0
 
 
 def test_gap_distribution_empty():
-    sample_cls = type(unfold(np.array([0.0]), 0.5))
-    s = sample_cls(points=np.array([1.0]), bulk_mask=np.array([False]))
+    s = UnfoldedSample(points=np.array([1.0]), bulk_mask=np.array([False]))
     with pytest.raises(EmptyError):
-        gap_distribution([s])
+        gap_cdf([s])
 
 
 def test_ks_distance_exact_cases():
@@ -97,83 +88,6 @@ def test_ks_distance_metric_properties():
 def test_empirical_cdf_rejects_empty():
     with pytest.raises(EmptyError):
         EmpiricalCDF([])
-
-
-def test_sine_kernel_values():
-    assert sine_kernel(0.0) == 1.0
-    assert abs(sine_kernel(1.0)) < 1e-15
-    assert sine_kernel(0.5) == pytest.approx(2 / math.pi, abs=1e-15)
-    xs = np.array([0.0, 0.25, 2.0])
-    np.testing.assert_allclose(sine_kernel(xs), [1.0, np.sin(np.pi * 0.25) / (np.pi * 0.25), 0.0], atol=1e-15)
-
-
-def test_kpoint_k1_classical_locations():
-    samples = [classical_locations(1000)] * 3
-    est = kpoint_estimate(samples, 1, 0.0, 0.3, np.linspace(-4, 4, 17))
-    np.testing.assert_allclose(est.values, 1.0, atol=0.02)
-    assert abs(est.mass - 1.0) < 0.02
-
-
-def test_kpoint_k2_matches_brute_force_pair_oracle():
-    rng = generator(52)
-    n = 400
-    lam = np.sort(rng.uniform(-1.0, 1.0, int(2.0 * n * rho_sc(0.0))))
-    bins = np.linspace(-3.0, 3.0, 13)
-    e, b = 0.0, 0.2
-    est = kpoint_estimate([lam], 2, e, b, bins, matrix_dim=n)
-    # oracle: explicit double loop over ordered pairs
-    scale = n * rho_sc(e)
-    counts = np.zeros(bins.size - 1)
-    for i, li in enumerate(lam):
-        if not (e - b <= li <= e + b):
-            continue
-        for j, lj in enumerate(lam):
-            if i == j:
-                continue
-            u = (lj - li) * scale
-            if bins[0] <= u < bins[-1]:
-                counts[np.searchsorted(bins, u, side="right") - 1] += 1
-    oracle = counts / (2 * b * scale * np.diff(bins))
-    np.testing.assert_allclose(est.values, oracle, atol=1e-12)
-
-
-def test_kpoint_poisson_flat():
-    rng = generator(53)
-    n = 1000
-    samples = [np.sort(rng.uniform(-0.5, 0.5, int(n * rho_sc(0.0)))) for _ in range(50)]
-    est = kpoint_estimate(samples, 2, 0.0, 0.25, np.linspace(-4, 4, 17), matrix_dim=n)
-    np.testing.assert_allclose(est.values, 1.0, atol=0.12)
-    est3 = kpoint_estimate(samples, 3, 0.0, 0.25, np.linspace(-3, 3, 7), matrix_dim=n)
-    np.testing.assert_allclose(est3.values, 1.0, atol=0.25)
-
-
-def test_kpoint_gue_two_point_dip():
-    samples = gue_spectra(1000, 40, seed=54)
-    bins = np.linspace(-4.0, 4.0, 33)
-    est = kpoint_estimate(samples, 2, 0.0, 1000 ** -0.1, bins)
-    centers = est.centers
-    prediction = 1.0 - sine_kernel(centers) ** 2
-    l2 = float(np.sqrt(np.mean((est.values - prediction) ** 2)))
-    assert l2 < 0.05
-    # repulsion near zero offset
-    assert est.values[len(centers) // 2] < 0.2
-
-
-def test_kpoint_test_function_integral():
-    samples = [classical_locations(800)] * 2
-    bins = np.linspace(-2, 2, 9)
-    est = kpoint_estimate(samples, 1, 0.0, 0.3, bins, test_fn=lambda a: np.ones_like(a))
-    assert est.test_integral == pytest.approx(4.0, rel=0.03)  # integral of 1 * density over [-2, 2]
-
-
-def test_kpoint_rejects_bad_arguments():
-    samples = [classical_locations(100)]
-    with pytest.raises(ConfigError):
-        kpoint_estimate(samples, 4, 0.0, 0.1, np.linspace(-1, 1, 5))
-    with pytest.raises(ConfigError):
-        kpoint_estimate(samples, 2, 2.5, 0.1, np.linspace(-1, 1, 5))
-    with pytest.raises(ConfigError):
-        kpoint_estimate(samples, 2, 0.0, -0.1, np.linspace(-1, 1, 5))
 
 
 def test_green_comparison_same_law_exactly_zero():
@@ -223,27 +137,13 @@ def test_gap_cdf_gue_self_consistency():
     cdfs = []
     for seed in (60_000, 61_000):
         samples = [unfold(lam, 0.5) for lam in gue_spectra(500, 30, seed=seed)]
-        cdf = gap_distribution(samples)
+        cdf = gap_cdf(samples)
         assert cdf.n > 10_000
         cdfs.append(cdf)
     assert ks_distance(cdfs[0], cdfs[1]) < 0.02
 
 
-def test_kpoint_k1_mass_gue():
-    samples = gue_spectra(500, 20, seed=58)
-    est = kpoint_estimate(samples, 1, 0.0, 500 ** -0.1, np.linspace(-5, 5, 21))
-    assert abs(est.mass - 1.0) < 0.05
-
-
-def test_empirical_cdf_csv_and_report_json(tmp_path):
-    cdf = EmpiricalCDF([0.5, 1.5, 1.5, 3.0])
-    out = tmp_path / "cdf.csv"
-    cdf.to_csv(out, schema="gap-cdf")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# rmt-locallaw v1 schema=gap-cdf"
-    assert lines[1] == "value,cdf"
-    assert len(lines) == 2 + 3  # three distinct jump values
-
+def test_green_comparison_report_json():
     p = wigner_profile(40)
     rep = green_comparison(
         p, catalog_distribution("bernoulli"), catalog_distribution("uniform"), 2,
@@ -255,14 +155,3 @@ def test_empirical_cdf_csv_and_report_json(tmp_path):
     assert doc["seed"] == 59
     assert doc["moment_mismatch"]["m4"] == pytest.approx(0.8)
     assert doc["rows"][0]["z"] == [0.0, 1.0 / 40]
-
-
-def test_correlation_estimate_csv(tmp_path):
-    samples = [classical_locations(300)] * 2
-    est = kpoint_estimate(samples, 2, 0.0, 0.3, np.linspace(-2, 2, 9))
-    out = tmp_path / "k2.csv"
-    est.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# rmt-locallaw v1 schema=kpoint-2"
-    assert lines[1] == "alpha,value,stderr"
-    assert len(lines) == 2 + 8
