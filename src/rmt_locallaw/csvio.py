@@ -14,3 +14,8 @@ def csv_text(schema: str, columns, rows) -> str:
     writer.writerow(columns)
     writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
+
+
+def write_csv(path, schema: str, columns, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(csv_text(schema, columns, rows))

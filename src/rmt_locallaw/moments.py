@@ -1,8 +1,9 @@
 """Four-moment arithmetic.
 
 Construction of standardized laws with prescribed third and fourth moments,
-the Gaussian-divisible moment transform and the approximate fourth-moment
-matching.
+the Gaussian-divisible moment transform, the approximate fourth-moment
+matching and the strict moment-gap criterion that separates Bernoulli from
+the smoother laws.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "gaussian_divisible_transform",
     "match_four_moments",
     "m4_gap_slope",
+    "check_no3no4",
 ]
 
 _DEFAULT_M4_CAP = 100.0
@@ -156,3 +158,9 @@ def match_four_moments(t: MomentTarget, gamma: float) -> MatchedLaw:
         target=t,
         bound_asserted=abs(m4_gap_slope(t.m3, t.m4, gamma)) <= 4.0,
     )
+
+
+def check_no3no4(d: EntryDistribution):
+    """Moment-gap value m4/m2^2 - m3^2/m2^3 and strict > 1 flag (m2 = 1)."""
+    value = float(d.m4 - d.m3**2)
+    return value, value > 1.0

@@ -126,8 +126,17 @@ def classical_locations(n: int, tol: float = 1e-12, max_iter: int = 200) -> np.n
     return gamma
 
 
-def theta_eval(point: SpectralPoint, ctrl: ControlFunction) -> float:
-    """Edge control function 1/|1 - m_sc^2| + 1/max(delta_plus, |Re m_sc^2 - 1|)."""
+def theta_eval(point: SpectralPoint, ctrl: ControlFunction, variant: str = "exact") -> float:
+    """Edge control function.
+
+    variant="exact":      1/|1 - m_sc^2| + 1/max(delta_plus, |Re m_sc^2 - 1|)
+    variant="simplified": (kappa + eta)^(-1/2), valid for comparable-variance
+                          profiles where delta_plus is order one.
+    """
+    if variant == "simplified":
+        return float((point.kappa + point.eta) ** -0.5)
+    if variant != "exact":
+        raise ValueError(f"unknown theta variant {variant!r}")
     m2 = msc_eval(point) ** 2
     t1 = 1.0 / abs(1.0 - m2)
     t2 = 1.0 / max(ctrl.delta_plus, abs(m2.real - 1.0))
@@ -143,6 +152,8 @@ def in_domain(
     n: int,
     m_param: float,
     variant: str = "D",
+    log_alpha: float = 1.0,
+    strict: bool = False,
 ) -> bool:
     """Admissibility of z for the scan domains.
 
@@ -152,9 +163,9 @@ def in_domain(
       D_theorem: sqrt(M*eta) >= P * theta(z)^2 * (kappa+eta)^(1/4)
       D_star:    M*eta       >= P * theta(z)^4 * (kappa+eta)^(1/2)
 
-    The asymptotic prefactor P is a power of log N, (ln N)^(12+3a) for D and
-    D_theorem and (ln N)^(24+6a) for D_star (a the log exponent), whose
-    literal value empties every desk-scale grid, so it is frozen to 1.
+    The asymptotic prefactor P is a power of log N whose literal value empties
+    every desk-scale grid, so by default it is frozen to 1; strict=True
+    evaluates the literal (ln N)^(12+3a) / (ln N)^(24+6a) prefactor instead.
     """
     if variant not in DOMAIN_VARIANTS:
         raise ValueError(f"unknown domain variant {variant!r}")
@@ -164,9 +175,13 @@ def in_domain(
         return False
     ke = point.kappa + point.eta
     meta = m_param * point.eta
+    logn = math.log(n) if n > 1 else 1.0
     if variant == "D":
-        return math.sqrt(meta) >= ke ** (0.25 - ctrl.edge_exponent_a)
+        pref = logn ** (12 + 3 * log_alpha) if strict else 1.0
+        return math.sqrt(meta) >= pref * ke ** (0.25 - ctrl.edge_exponent_a)
     theta = theta_eval(point, ctrl)
     if variant == "D_theorem":
-        return math.sqrt(meta) >= theta**2 * ke**0.25
-    return meta >= theta**4 * math.sqrt(ke)
+        pref = logn ** (12 + 3 * log_alpha) if strict else 1.0
+        return math.sqrt(meta) >= pref * theta**2 * ke**0.25
+    pref = logn ** (24 + 6 * log_alpha) if strict else 1.0
+    return meta >= pref * theta**4 * math.sqrt(ke)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .ensembles import EntryDistribution, VarianceProfile, sample_matrix
 from .errors import ConfigError, EmptyError
 from .linalg import eigenvalues, eigh
@@ -25,6 +26,7 @@ __all__ = [
     "GreenComparisonReport",
     "unfold",
     "ks_distance",
+    "sine_kernel",
     "green_comparison",
 ]
 
@@ -45,12 +47,16 @@ class UnfoldedSample:
         return np.diff(pts) if pts.size >= 2 else np.empty(0)
 
 
-def unfold(spectrum, kappa_cut: float) -> UnfoldedSample:
-    """Unfold a full spectrum; bulk = eigenvalues with |lambda| <= 2 - kappa_cut."""
+def unfold(spectrum, kappa_cut: float, matrix_dim: int | None = None) -> UnfoldedSample:
+    """Unfold a sorted spectrum; bulk = eigenvalues with |lambda| <= 2 - kappa_cut.
+
+    matrix_dim overrides N when the input is a partial list of eigenvalues.
+    """
     if not 0 < kappa_cut < 2:
         raise ConfigError(f"kappa_cut must be in (0, 2), got {kappa_cut}")
     lam = eigenvalues(spectrum)
-    points = lam.size * nsc_eval(lam)
+    n = matrix_dim if matrix_dim is not None else lam.size
+    points = n * nsc_eval(lam)
     return UnfoldedSample(points=np.atleast_1d(points), bulk_mask=np.abs(lam) <= 2.0 - kappa_cut)
 
 
@@ -73,11 +79,21 @@ class EmpiricalCDF:
     def jumps(self) -> np.ndarray:
         return np.unique(self.values)
 
+    def to_csv(self, path, schema: str = "empirical-cdf") -> None:
+        jumps = self.jumps
+        write_csv(path, schema, ["value", "cdf"], zip(jumps, self(jumps)))
+
 
 def ks_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:
     """Two-sample Kolmogorov-Smirnov distance, exact over the merged jump set."""
     grid = np.union1d(a.jumps, b.jumps)
     return float(np.max(np.abs(a(grid) - b(grid))))
+
+
+def sine_kernel(x):
+    """K(x) = sin(pi x)/(pi x), continuously extended with K(0) = 1."""
+    out = np.sinc(np.asarray(x, dtype=float))
+    return out if out.ndim else float(out)
 
 
 FUNCTIONALS = {

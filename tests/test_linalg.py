@@ -3,7 +3,7 @@ import pytest
 
 from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import DomainError, SymmetryError
-from rmt_locallaw.linalg import eigh, resolvent
+from rmt_locallaw.linalg import eigh, minor, quadratic_form_z, resolvent
 
 
 def random_hermitian(rng, n, beta=2):
@@ -106,7 +106,25 @@ def test_eigh_accepts_matrix_sample():
     assert w.shape == (12,) and np.all(np.diff(w) >= 0)
 
 
+def test_minor_empty_set_identity():
+    h = np.arange(9.0).reshape(3, 3)
+    np.testing.assert_array_equal(minor(h, ()), h)
+
+
+def test_minor_center_removal():
+    h = np.arange(9.0).reshape(3, 3)
+    np.testing.assert_array_equal(minor(h, (1,)), np.array([[0.0, 2.0], [6.0, 8.0]]))
+
+
+def test_minor_composition_is_set_semantics():
+    rng = np.random.default_rng(11)
+    h = random_hermitian(rng, 7)
+    np.testing.assert_array_equal(minor(minor(h, (2,)), (3,)), minor(h, (2, 4)))
+
+
 def test_minor_out_of_range():
+    with pytest.raises(IndexError):
+        minor(np.eye(3), (5,))
     with pytest.raises(IndexError):
         resolvent(np.eye(3), 1j, (5,))
 
@@ -168,16 +186,48 @@ def test_resolvent_minor_indexing():
     h = random_hermitian(rng, 6)
     z = 0.1 + 0.9j
     g = resolvent(h, z, t=(1, 4))
-    keep = [0, 2, 3, 5]
-    direct = resolvent(h[np.ix_(keep, keep)], z).entries
+    direct = resolvent(minor(h, (1, 4)), z).entries
     assert g.entry(0, 0) == pytest.approx(direct[0, 0], abs=1e-14)
     assert g.entry(5, 2) == pytest.approx(direct[3, 1], abs=1e-14)
     with pytest.raises(IndexError):
         g.entry(1, 0)
-    shifted = h[np.ix_(keep, keep)] - z * np.eye(4)
+    shifted = minor(h, (1, 4)) - z * np.eye(4)
     assert np.max(np.abs(shifted @ g.entries - np.eye(4))) < 1e-8
 
 
 def test_resolvent_requires_upper_half_plane():
     with pytest.raises(DomainError):
         resolvent(np.eye(3), 1.0 - 0.1j)
+
+
+def test_quadratic_form_zero_column():
+    h = np.zeros((3, 3))
+    h[0, 0] = 0.5  # column 1 stays zero
+    zval, kval = quadratic_form_z(h, 1, 1, (1,), 0.3j)
+    assert zval == 0
+    assert kval == pytest.approx(-0.3j, abs=1e-15)
+
+
+def test_quadratic_form_two_by_two_hand_formula():
+    rng = np.random.default_rng(17)
+    h = random_hermitian(rng, 2)
+    z = 0.2 + 0.4j
+    zval, kval = quadratic_form_z(h, 1, 1, (1,), z)
+    want = abs(h[0, 1]) ** 2 / (h[0, 0] - z)
+    assert zval == pytest.approx(want, abs=1e-14)
+    assert kval == pytest.approx(h[1, 1] - z - want, abs=1e-14)
+
+
+def test_quadratic_form_gives_gii_identity():
+    rng = np.random.default_rng(18)
+    h = random_hermitian(rng, 6)
+    z = -0.3 + 0.8j
+    g = resolvent(h, z)
+    for i in range(6):
+        _, kval = quadratic_form_z(h, i, i, (i,), z)
+        assert abs(g.entry(i, i) - 1.0 / kval) < 1e-10
+
+
+def test_quadratic_form_out_of_range():
+    with pytest.raises(IndexError):
+        quadratic_form_z(np.eye(3), 0, 5, (), 1j)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rmt_locallaw.ensembles import EntryDistribution
+from rmt_locallaw.ensembles import EntryDistribution, catalog_distribution
 from rmt_locallaw.errors import ConfigError, MomentInfeasibleError
 from rmt_locallaw.moments import (
     MomentTarget,
+    check_no3no4,
     gaussian_divisible_transform,
     match_four_moments,
     three_point_construct,
@@ -146,3 +147,12 @@ def test_matched_law_distribution_roundtrip_and_sampling():
         mk = x**k
         se = mk.std(ddof=1) / math.sqrt(x.size)
         assert abs(mk.mean() - want) <= 5 * se
+
+
+def test_no3no4_catalog():
+    val, ok = check_no3no4(catalog_distribution("bernoulli"))
+    assert val == 1.0 and ok is False  # the excluded two-point class
+    val, ok = check_no3no4(catalog_distribution("gaussian"))
+    assert val == 3.0 and ok is True
+    val, ok = check_no3no4(catalog_distribution("uniform"))
+    assert val == pytest.approx(1.8) and ok is True

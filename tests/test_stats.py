@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from rmt_locallaw.errors import ConfigError, EmptyError
 from rmt_locallaw.linalg import eigh
 from rmt_locallaw.moments import MomentTarget, match_four_moments
 from rmt_locallaw.semicircle import classical_locations
-from rmt_locallaw.stats import EmpiricalCDF, UnfoldedSample, green_comparison, ks_distance, unfold
+from rmt_locallaw.stats import EmpiricalCDF, UnfoldedSample, green_comparison, ks_distance, sine_kernel, unfold
 
 
 def gue_spectra(n, count, seed=50):
@@ -20,9 +22,9 @@ def gap_cdf(samples):
     return EmpiricalCDF(np.concatenate([s.bulk_gaps() for s in samples]))
 
 
-def test_unfold_single_point():
-    u = unfold(np.array([0.0]), 0.5)
-    assert u.points[0] == pytest.approx(0.5, abs=1e-15)
+def test_unfold_single_point_with_external_dim():
+    u = unfold(np.array([0.0]), 0.5, matrix_dim=10)
+    assert u.points[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_unfold_classical_locations_integer_sequence():
@@ -90,6 +92,14 @@ def test_empirical_cdf_rejects_empty():
         EmpiricalCDF([])
 
 
+def test_sine_kernel_values():
+    assert sine_kernel(0.0) == 1.0
+    assert abs(sine_kernel(1.0)) < 1e-15
+    assert sine_kernel(0.5) == pytest.approx(2 / math.pi, abs=1e-15)
+    xs = np.array([0.0, 0.25, 2.0])
+    np.testing.assert_allclose(sine_kernel(xs), [1.0, np.sin(np.pi * 0.25) / (np.pi * 0.25), 0.0], atol=1e-15)
+
+
 def test_green_comparison_same_law_exactly_zero():
     p = wigner_profile(60)
     d = catalog_distribution("bernoulli")
@@ -143,7 +153,15 @@ def test_gap_cdf_gue_self_consistency():
     assert ks_distance(cdfs[0], cdfs[1]) < 0.02
 
 
-def test_green_comparison_report_json():
+def test_empirical_cdf_csv_and_report_json(tmp_path):
+    cdf = EmpiricalCDF([0.5, 1.5, 1.5, 3.0])
+    out = tmp_path / "cdf.csv"
+    cdf.to_csv(out, schema="gap-cdf")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# rmt-locallaw v1 schema=gap-cdf"
+    assert lines[1] == "value,cdf"
+    assert len(lines) == 2 + 3  # three distinct jump values
+
     p = wigner_profile(40)
     rep = green_comparison(
         p, catalog_distribution("bernoulli"), catalog_distribution("uniform"), 2,
