@@ -96,6 +96,12 @@ class VarianceProfile:
     def column_sum_residual(self) -> float:
         return float(np.max(np.abs(self.variances.sum(axis=0) - 1.0)))
 
+    @property
+    def edge_exponent_a(self) -> int:
+        """Edge exponent A of the control function: 1 under condition (VV),
+        every variance comparable to 1/N, else 2."""
+        return 1 if self.c_inf > 0 and np.isfinite(self.c_sup) else 2
+
 
 @dataclass
 class ProfileReport:
@@ -107,12 +113,10 @@ class ProfileReport:
     """
 
     colsum_residual: float
-    symmetry_residual: float
     delta_plus: float
     delta_minus: float
     vv_holds: bool
     edge_exponent_a: int
-    top_eigenvalue_simple: bool
     violations: list
 
 
@@ -133,16 +137,12 @@ def validate_profile(p: VarianceProfile) -> ProfileReport:
         violations.append(f"largest Sigma eigenvalue {spec[-1]!r} != 1")
     if spec[0] < -1.0 - _SPECTRUM_TOL or spec[-1] > 1.0 + _SPECTRUM_TOL:
         violations.append("Sigma spectrum escapes [-1, 1]")
-    simple = bool(p.n < 2 or spec[-2] <= 1.0 - 1e-12)
-    vv = p.c_inf > 0 and np.isfinite(p.c_sup)
     return ProfileReport(
         colsum_residual=colres,
-        symmetry_residual=sym,
         delta_plus=p.delta_plus,
         delta_minus=p.delta_minus,
-        vv_holds=bool(vv),
-        edge_exponent_a=1 if vv else 2,
-        top_eigenvalue_simple=simple,
+        vv_holds=p.edge_exponent_a == 1,
+        edge_exponent_a=p.edge_exponent_a,
         violations=violations,
     )
 
@@ -211,7 +211,6 @@ class EntryDistribution:
     m3: float
     m4: float
     subexp_alpha: float
-    subexp_beta: float
     gamma: float = 0.0
     dist_id: str = ""
 
@@ -257,7 +256,6 @@ class EntryDistribution:
                 "m3": self.m3,
                 "m4": self.m4,
                 "subexp_alpha": self.subexp_alpha,
-                "subexp_beta": self.subexp_beta,
                 "gamma": self.gamma,
                 "dist_id": self.dist_id,
             }
@@ -275,7 +273,6 @@ class EntryDistribution:
             m3=obj["m3"],
             m4=obj["m4"],
             subexp_alpha=obj["subexp_alpha"],
-            subexp_beta=obj["subexp_beta"],
             gamma=obj.get("gamma", 0.0),
             dist_id=obj.get("dist_id", ""),
         )
@@ -284,20 +281,11 @@ class EntryDistribution:
 def catalog_distribution(name: str) -> EntryDistribution:
     """Catalog of standardized laws: bernoulli, gaussian, uniform."""
     if name == "bernoulli":
-        return EntryDistribution(
-            kind="bernoulli", atoms=((1.0, 0.5), (-1.0, 0.5)), m3=0.0, m4=1.0,
-            subexp_alpha=1.0, subexp_beta=math.e,
-        )
+        return EntryDistribution(kind="bernoulli", atoms=((1.0, 0.5), (-1.0, 0.5)), m3=0.0, m4=1.0, subexp_alpha=1.0)
     if name == "gaussian":
-        return EntryDistribution(
-            kind="gaussian", atoms=None, m3=0.0, m4=3.0,
-            subexp_alpha=1.0, subexp_beta=2.0,
-        )
+        return EntryDistribution(kind="gaussian", atoms=None, m3=0.0, m4=3.0, subexp_alpha=1.0)
     if name == "uniform":
-        return EntryDistribution(
-            kind="uniform", atoms=None, m3=0.0, m4=9.0 / 5.0,
-            subexp_alpha=1.0, subexp_beta=math.e,
-        )
+        return EntryDistribution(kind="uniform", atoms=None, m3=0.0, m4=9.0 / 5.0, subexp_alpha=1.0)
     raise NotFoundError(f"unknown distribution {name!r}")
 
 
@@ -322,7 +310,9 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     Entry (i, j), i < j, is an independent standardized draw scaled to
     variance sigma^2_ij (real and imaginary parts each sigma^2_ij/2 for
     beta=2); the diagonal is real with variance sigma^2_ii. All randomness is
-    a pure function of (profile, distribution, beta, seed).
+    a pure function of (profile, distribution, beta, seed). Each entry below
+    the diagonal is an exact (conjugate) copy of its mirror, so the sample is
+    Hermitian to the last bit.
     """
     if beta not in (1, 2):
         raise SamplingError(f"symmetry class must be 1 or 2, got {beta}")
@@ -334,16 +324,14 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     x = d.sample(rng, (n, n))
     if beta == 2:
         y = d.sample(rng, (n, n))
-        h = np.zeros((n, n), dtype=complex)
-        iu = np.triu_indices(n, 1)
-        h[iu] = sigma[iu] * (x[iu] + 1j * y[iu]) / math.sqrt(2.0)
-        h[(iu[1], iu[0])] = h[iu].conj()
+        values = sigma * (x + 1j * y) / math.sqrt(2.0)
+        mirror = values.T.conj()
     else:
-        h = np.zeros((n, n), dtype=float)
-        iu = np.triu_indices(n, 1)
-        h[iu] = sigma[iu] * x[iu]
-        h[(iu[1], iu[0])] = h[iu]
-    di = np.diag_indices(n)
-    h[di] = sigma[di] * x[di]
+        values = sigma * x
+        mirror = values.T
+    # the upper triangle from values, the rest from the mirror: a selection,
+    # so no arithmetic can flip the sign of a zero
+    h = np.where(np.tri(n, dtype=bool).T, values, mirror)
+    np.fill_diagonal(h, np.diag(sigma) * np.diag(x))
     h.setflags(write=False)
     return MatrixSample(symmetry_class=beta, entries=h, profile_id=p.profile_id, dist_id=d.dist_id, seed=seed)

@@ -2,9 +2,10 @@
 quadratic forms.
 
 The resolvent path is an LU factorization with partial pivoting of
-(H^(T) - z), reused across right-hand sides; the spectral path goes through
-the full eigendecomposition. The two stay independent so they can check each
-other.
+(H^(T) - z), inverted from its factors (LAPACK zgetrf + zgetri); the
+spectral path goes through numpy's full eigendecomposition. The two stay
+independent so they can check each other. Eigenvalues alone come from the
+LAPACK routines in `lapack`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .ensembles import MatrixSample
 from .errors import ConvergenceError, DomainError, SolverError, SymmetryError
 
@@ -44,10 +46,6 @@ class Spectrum:
     eigenvectors: np.ndarray | None = None
     residual: float | None = None
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def eigenvalues(spectrum) -> np.ndarray:
     """Float eigenvalues, ascending, of a Spectrum or of an array (sorted here)."""
@@ -61,19 +59,26 @@ def eigh(h, compute_vectors: bool = True) -> Spectrum:
 
     Backed by LAPACK's Householder reduction + tridiagonal diagonalization;
     ordering of degenerate eigenvalues is the solver's stable output order.
+    A MatrixSample is exactly Hermitian by construction and is used as it
+    is; any other array is checked and symmetrized first. Eigenvalues alone
+    come from `lapack.eigvalsh` (two-stage reduction for complex input);
+    with vectors, numpy's eigh, which the tests use as the spectral oracle.
     """
-    a = _as_matrix(h)
-    _check_hermitian(a)
-    a = 0.5 * (a + a.conj().T)
+    if isinstance(h, MatrixSample):
+        a = h.entries
+    else:
+        a = np.asarray(h)
+        _check_hermitian(a)
+        a = 0.5 * (a + a.conj().T)
+    if not compute_vectors:
+        # a C-ordered float64 or complex128 copy, which LAPACK overwrites
+        return Spectrum(eigenvalues=lapack.eigvalsh(a.astype(complex if a.dtype.kind == "c" else float, order="C")))
     try:
-        if compute_vectors:
-            w, u = np.linalg.eigh(a)
-            resid = float(np.max(np.linalg.norm(a @ u - u * w[None, :], axis=0))) if a.size else 0.0
-            return Spectrum(eigenvalues=w, eigenvectors=u, residual=resid)
-        w = np.linalg.eigvalsh(a)
-        return Spectrum(eigenvalues=w)
+        w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(str(exc)) from exc
+    resid = float(np.max(np.linalg.norm(a @ u - u * w[None, :], axis=0))) if a.size else 0.0
+    return Spectrum(eigenvalues=w, eigenvectors=u, residual=resid)
 
 
 def surviving_indices(n: int, t) -> np.ndarray:
@@ -96,7 +101,6 @@ def minor(h, t) -> np.ndarray:
 class ResolventSlice:
     """Resolvent G^(T)(z) of a minor, addressable by original indices."""
 
-    z: complex
     surviving: np.ndarray
     entries: np.ndarray
 
@@ -112,21 +116,25 @@ class ResolventSlice:
 
 
 def resolvent(h, z: complex, t=()) -> ResolventSlice:
-    """G^(T)(z) = (H^(T) - z)^-1 by complex LU with partial pivoting."""
+    """G^(T)(z) = (H^(T) - z)^-1 by complex LU with partial pivoting.
+
+    The inverse is formed in place in a C-ordered copy of H^(T) - z, which
+    LAPACK reads as its transpose; read C-ordered again, the buffer is G.
+    Nothing assumes H Hermitian.
+    """
     if not complex(z).imag > 0:
         raise DomainError(f"resolvent requires Im z > 0, got {z}")
     a = _as_matrix(h)
     keep = surviving_indices(a.shape[0], t)
-    am = a if keep.size == a.shape[0] else a[np.ix_(keep, keep)]
-    m = am.shape[0]
-    shifted = am - complex(z) * np.eye(m)
+    g = np.array(a if keep.size == a.shape[0] else a[np.ix_(keep, keep)], dtype=complex, order="C")
+    g.flat[:: g.shape[0] + 1] -= complex(z)
     try:
-        g = np.linalg.inv(shifted)  # LAPACK zgesv: getrf + getrs against the identity
-    except np.linalg.LinAlgError as exc:
+        lapack.invert(g)
+    except SolverError as exc:
         raise SolverError(f"shifted solve failed at z={z}: {exc}") from exc
     if not np.all(np.isfinite(g)):
         raise SolverError(f"shifted solve produced non-finite entries at z={z}")
-    return ResolventSlice(z=complex(z), surviving=keep, entries=g)
+    return ResolventSlice(surviving=keep, entries=g)
 
 
 def quadratic_form_z(h, i: int, j: int, t, z: complex):

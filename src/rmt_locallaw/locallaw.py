@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import EntryDistribution, MatrixSample, VarianceProfile, sample_matrix, validate_profile
+from .ensembles import EntryDistribution, MatrixSample, VarianceProfile, sample_matrix
 from .errors import ConfigError
 from .linalg import eigenvalues, resolvent, surviving_indices
 from .parallel import pmap
@@ -71,6 +71,16 @@ class ResolventDiagnostics:
     x_diag: float
 
 
+def _column_dots(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_j a_ij g_ji for every i, for Hermitian a: the column sums of
+    conj(a) * g, taken over blocks of 64 rows so that both C-ordered arrays
+    are read along their rows."""
+    out = np.zeros(a.shape[1], dtype=complex)
+    for j in range(0, a.shape[0], 64):
+        out += (a[j:j + 64].conj() * g[j:j + 64]).sum(axis=0)
+    return out
+
+
 def diagnostics(
     h: MatrixSample,
     p: VarianceProfile,
@@ -116,7 +126,7 @@ def diagnostics(
             z_self[i] = col.conj() @ gi @ col
             eiz[i] = var[i, keep] @ np.diag(gi)
     else:
-        z_self = (hdiag * g - np.einsum("ij,ji->i", a, g_full)) / g
+        z_self = (hdiag * g - _column_dots(a, g_full)) / g
         eiz = (var @ g - pv_diag * g) - cross
 
     z_terms = z_self - eiz
@@ -249,8 +259,7 @@ def local_law_scan(
     sqrt(M*eta)*(kappa+eta)^(A/2-1/4) * Lambda_d and
     sqrt(M*eta)*(kappa+eta)^(-1/4) * Lambda_o.
     """
-    report = validate_profile(p)
-    a_exp = report.edge_exponent_a
+    a_exp = p.edge_exponent_a
     ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=a_exp)
     grid = [complex(z) for z in z_grid]
     for z in grid:
@@ -368,6 +377,8 @@ class LargeDeviationResult:
 
 
 COEFFICIENT_CASES = ("linear", "diagonal", "offdiagonal")
+# complex draws per large_deviation_mc batch, in bytes (16 per draw)
+_BATCH_BYTES = 32 * 2**20
 
 
 def _wilson(k: int, n: int, z: float = 1.96):
@@ -418,7 +429,7 @@ def large_deviation_mc(
             threshold = logn ** (3.0 + 2 * alpha) * math.sqrt(float(np.sum(np.abs(off) ** 2)))
 
     rng = generator(seed, "draws")
-    batch = max(1, min(trials, int(2e7 // max(n, 1))))
+    batch = max(1, min(trials, _BATCH_BYTES // (16 * max(n, 1))))
     exceed = 0
     done = 0
     while done < trials:
@@ -475,8 +486,7 @@ def z_average_moments(
     if p_max % 2 != 0 or p_max > 8 or p_max < 2:
         raise ConfigError(f"p_max must be even and in [2, 8], got {p_max}")
     z = complex(z)
-    report = validate_profile(p)
-    ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=report.edge_exponent_a)
+    ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=p.edge_exponent_a)
     pt = SpectralPoint(z.real, z.imag)
     if check_domain and not in_domain(pt, ctrl, p.n, max(p.m_param, 1.0), variant="D_star"):
         raise ConfigError(f"z={z} fails the D_star domain condition")

@@ -70,14 +70,12 @@ def three_point_construct(t: MomentTarget) -> EntryDistribution:
         got = float(np.sum(probs * vals**k))
         if abs(got - target) > 1e-12 * max(1.0, abs(target)):
             raise MomentInfeasibleError(f"construction drifted: m{k} = {got}, wanted {target}")
-    support = float(np.max(np.abs(vals)))
     return EntryDistribution(
         kind="discrete-atoms",
         atoms=tuple(atoms),
         m3=t.m3,
         m4=t.m4,
         subexp_alpha=1.0,
-        subexp_beta=math.exp(support),
         dist_id=f"three-point({t.m3:g},{t.m4:g})",
     )
 
@@ -129,7 +127,6 @@ class MatchedLaw:
             m3=self.achieved_m3,
             m4=self.achieved_m4,
             subexp_alpha=1.0,
-            subexp_beta=2.0 * self.xi_gamma.subexp_beta,
             gamma=self.gamma,
             dist_id=f"matched({self.target.m3:g},{self.target.m4:g};g={self.gamma:g})",
         )

@@ -5,7 +5,8 @@ place that sets how many threads the BLAS may use.
 to BLAS_THREADS (1) thread, so the cores are shared out by jobs alone and
 none is oversubscribed. The pin also makes the BLAS thread count part of the
 numerical setup: LAPACK gives different last bits at different thread
-counts, so unpinned output bytes would depend on the host.
+counts, so unpinned output bytes would depend on the host. Without that
+library there is nothing to pin, and `blas_threads` raises.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
+
+from .errors import RMTError
 
 BLAS_THREADS = 1
 
@@ -40,12 +43,13 @@ def default_workers() -> int:
 @dataclass(frozen=True)
 class BlasLibrary:
     """One OpenBLAS mapped into this process; `config` is its build string
-    (version, kernel, thread limit)."""
+    (version, kernel, thread limit) and `handle` its ctypes library."""
 
     name: str
     config: str
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
+    handle: ctypes.CDLL
 
 
 def _load(path: str) -> BlasLibrary | None:
@@ -57,7 +61,7 @@ def _load(path: str) -> BlasLibrary | None:
     setter.argtypes, setter.restype = [ctypes.c_int], None
     getter.argtypes, getter.restype = [], ctypes.c_int
     config.argtypes, config.restype = [], ctypes.c_char_p
-    return BlasLibrary(os.path.basename(path), config().decode().strip(), getter, setter)
+    return BlasLibrary(os.path.basename(path), config().decode().strip(), getter, setter, lib)
 
 
 _libraries: list | None = None
@@ -65,8 +69,7 @@ _libraries: list | None = None
 
 def blas_libraries() -> list:
     """The OpenBLAS copies mapped into this process that carry numpy's entry
-    points, found on the first call. Without /proc/self/maps the list is
-    empty and blas_threads pins nothing."""
+    points, found on the first call; empty without /proc/self/maps."""
     global _libraries
     if _libraries is None:
         paths = []
@@ -80,6 +83,15 @@ def blas_libraries() -> list:
             pass
         _libraries = [lib for lib in map(_load, paths) if lib is not None]
     return _libraries
+
+
+def numpy_openblas() -> BlasLibrary:
+    """The OpenBLAS numpy ships (numpy >= 2.0 wheels); an RMTError naming the
+    missing symbol when no mapped library exports it."""
+    libs = blas_libraries()
+    if not libs:
+        raise RMTError(f"numpy's OpenBLAS is not loaded: no library in this process exports {_SYMBOLS[0]}")
+    return libs[0]
 
 
 # OpenBLAS keeps one thread count per process, so pins from several threads
@@ -98,6 +110,7 @@ def blas_threads(k: int):
     global _pin_depth, _pin_threads, _pin_saved
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"BLAS thread count must be an integer >= 1, got {k!r}")
+    numpy_openblas()  # raises when there is nothing to pin
     libs = blas_libraries()
     with _pin_lock:
         if _pin_depth == 0:

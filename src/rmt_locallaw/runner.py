@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dbm, locallaw, moments, stats
+from . import dbm, lapack, locallaw, moments, stats
 from .csvio import csv_text
 from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError
@@ -37,7 +37,7 @@ from .semicircle import DOMAIN_VARIANTS
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 _SHAPES = {
     "box": lambda x: 1.0 if 0 <= x < 1 else 0.0,
@@ -678,6 +678,7 @@ def _environment(cfg: ExperimentConfig) -> dict:
     return {
         "blas_threads": BLAS_THREADS,
         "blas": {lib.name: lib.config for lib in blas_libraries()},
+        "lapack": lapack.ROUTINES,
         "workers": cfg.workers if cfg.workers is not None else default_workers(),
         "affinity_cores": affinity_cores(),
         "numpy": np.__version__,
@@ -777,7 +778,3 @@ def main(argv=None) -> int:
         return 3
     print(report([manifest]))
     return 0 if manifest.all_passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

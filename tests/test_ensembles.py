@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rmt_locallaw.dbm import flow_interpolate
 from rmt_locallaw.ensembles import (
     EntryDistribution,
     VarianceProfile,
@@ -14,6 +15,7 @@ from rmt_locallaw.ensembles import (
     wigner_profile,
 )
 from rmt_locallaw.errors import DegenerateProfileError, NotFoundError, SamplingError
+from rmt_locallaw.moments import MomentTarget, three_point_construct
 from rmt_locallaw.seeding import generator
 
 
@@ -127,12 +129,27 @@ def test_sample_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.entries, c.entries)
 
 
+def _hermitian_to_the_bit(a) -> bool:
+    # conjugation turns the diagonal's +0.0 imaginary parts into -0.0, so the
+    # diagonal is compared by value and every other entry byte for byte
+    mirror = a.conj().T.copy()
+    np.fill_diagonal(mirror, np.diag(a))
+    return mirror.tobytes() == a.tobytes() and bool(np.all(np.diag(a).imag == 0))
+
+
 def test_sample_exact_hermitian_bitwise():
-    p = wigner_profile(31)
-    for beta in (1, 2):
-        s = sample_matrix(p, catalog_distribution("gaussian"), beta, seed=5)
-        assert np.array_equal(s.entries, s.entries.conj().T)
-        assert np.all(np.imag(np.diag(s.entries)) == 0.0)
+    # the eigenvalue routines read one triangle of a sample, unchecked; flowed
+    # samples too
+    three_point = three_point_construct(MomentTarget(0.3, 3.0))  # has an atom at 0
+    for n in (1, 2, 31, 300):
+        p = wigner_profile(n)
+        for beta in (1, 2):
+            v = sample_matrix(p, catalog_distribution("gaussian"), beta, seed=9)
+            assert _hermitian_to_the_bit(v.entries)
+            for law in (catalog_distribution("bernoulli"), catalog_distribution("uniform"), three_point):
+                h0 = sample_matrix(p, law, beta, seed=5)
+                assert _hermitian_to_the_bit(h0.entries)
+                assert _hermitian_to_the_bit(flow_interpolate(h0, v, 0.37).ht.entries)
 
 
 def test_sample_gaussian_beta2_entry_variance():

@@ -41,8 +41,7 @@ def config(experiment, **fields):
 
 
 INFEASIBLE_LAW = {
-    "kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 0.5,
-    "subexp_alpha": 1.0, "subexp_beta": 2.0,
+    "kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 0.5, "subexp_alpha": 1.0,
 }
 
 # bad configs, each with the key the error names; main runs each through its own subcommand
@@ -168,6 +167,7 @@ def test_manifest_environment_is_kept_out_of_digested_files(tmp_path, monkeypatc
     env = m1.environment
     assert env["blas_threads"] == 1 and env["workers"] == 3 and env["affinity_cores"] >= 1
     assert env["numpy"] == np.__version__ and env["blas"]
+    assert env["lapack"]["resolvent"] == "zgetrf+zgetri"
     monkeypatch.setattr(runner, "_environment", lambda cfg: {})
     m2 = run(cfg, str(tmp_path / "b"))
     assert m2.digests == m1.digests and m2.environment == {}
@@ -244,6 +244,28 @@ def test_main_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error") and key in err
         assert not never.exists()
+
+
+INLINE_LAW = {"kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 1.0, "subexp_alpha": 1.0}
+
+
+def test_inline_law_needs_only_the_schema_fields(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config("largedev", n=40, trials=50, distribution=INLINE_LAW))
+    assert main(["largedev", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_python_m_runs_the_cli_without_warnings(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config("largedev", n=40, trials=50, distribution="bernoulli"))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(runner.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmt_locallaw", "largedev", "-c", str(cfg_path), "-o", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "overall: PASS" in proc.stdout
 
 
 def test_main_report_subcommand(tmp_path, capsys):
