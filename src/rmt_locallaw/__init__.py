@@ -7,9 +7,19 @@ reproducible experiment runner.
 """
 
 from . import dbm, ensembles, linalg, locallaw, moments, semicircle, stats
-from .runner import ARTIFACT_VERSION, ExperimentConfig, RunManifest, parse_config, report, run
 
-__version__ = ARTIFACT_VERSION
+_RUNNER_NAMES = ("ExperimentConfig", "RunManifest", "parse_config", "run", "report", "ARTIFACT_VERSION")
+
+
+def __getattr__(name):
+    # runner loads on first use, so `python -m rmt_locallaw.runner` finds it
+    # not yet imported and runpy runs it without a double-import warning
+    if name in _RUNNER_NAMES or name == "__version__":
+        from . import runner
+
+        return getattr(runner, "ARTIFACT_VERSION" if name == "__version__" else name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "dbm",

@@ -37,6 +37,8 @@ __all__ = [
 
 _COLSUM_TOL = 1e-12
 _SPECTRUM_TOL = 1e-9
+# draws per chunk of the streamed sampling and Monte Carlo steps (512 KiB of float64)
+DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -236,16 +238,33 @@ class EntryDistribution:
         if self.kind == "discrete-atoms":
             return self._sample_atoms(rng, size)
         if self.kind == "gaussian-divisible":
-            base = self._sample_atoms(rng, size)
-            g = rng.standard_normal(size)
-            return math.sqrt(1.0 - self.gamma) * base + math.sqrt(self.gamma) * g
+            # sqrt(1-gamma)*base + sqrt(gamma)*g, formed in place with g drawn in
+            # chunks: the same roundings and the same normal stream as whole arrays
+            x = self._sample_atoms(rng, size)
+            x *= math.sqrt(1.0 - self.gamma)
+            flat = x.reshape(-1)
+            scale = math.sqrt(self.gamma)
+            for j in range(0, flat.size, DRAW_CHUNK):
+                g = rng.standard_normal(min(DRAW_CHUNK, flat.size - j))
+                g *= scale
+                flat[j:j + g.size] += g
+            return x
         raise NotFoundError(f"cannot sample kind {self.kind!r}")
 
     def _sample_atoms(self, rng, size):
-        vals = np.array([v for v, _ in self.atoms])
+        """Atom k where cum[k-1] <= u < cum[k], the last atom for u past the
+        end: vals[searchsorted(cum, u, "right").clip(0, len(vals) - 1)],
+        selected in place over u. The masks u >= cum[k] nest because cum
+        rises, so writing each atom over its mask in order leaves the right
+        one, bit for bit."""
+        vals = [v for v, _ in self.atoms]
         cum = np.cumsum([p for _, p in self.atoms])
         u = rng.random(size)
-        return vals[np.searchsorted(cum, u, side="right").clip(0, len(vals) - 1)]
+        masks = [u >= c for c in cum[:-1]]
+        u.fill(vals[0])
+        for v, mask in zip(vals[1:], masks):
+            np.copyto(u, v, where=mask)
+        return u
 
     def to_json(self) -> str:
         return json.dumps(

@@ -71,14 +71,23 @@ class ResolventDiagnostics:
     x_diag: float
 
 
-def _column_dots(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_j a_ij g_ji for every i, for Hermitian a: the column sums of
-    conj(a) * g, taken over blocks of 64 rows so that both C-ordered arrays
-    are read along their rows."""
-    out = np.zeros(a.shape[1], dtype=complex)
-    for j in range(0, a.shape[0], 64):
-        out += (a[j:j + 64].conj() * g[j:j + 64]).sum(axis=0)
-    return out
+def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
+    """Three O(n^2) reductions of one resolvent g of a Hermitian a, taken over
+    blocks of 64 rows so that every array is read in row order and no n x n
+    temporary is made: sum_j a_ij g_ji (column sums of conj(a) * g),
+    sum_j var_ij g_ij g_ji, and max_{i != j} |g_ij| (Lambda_o)."""
+    n = a.shape[0]
+    dots = np.zeros(n, dtype=complex)
+    pw_row = np.empty(n, dtype=complex)
+    off_max = []
+    for j in range(0, n, 64):
+        rows = slice(j, j + 64)
+        dots += (a[rows].conj() * g[rows]).sum(axis=0)
+        pw_row[rows] = np.einsum("ij,ij->i", var[rows], g[rows] * g[:, rows].T)
+        off = np.abs(g[rows])
+        np.fill_diagonal(off[:, rows], 0.0)
+        off_max.append(off.max())
+    return dots, pw_row, float(np.max(off_max))
 
 
 def diagnostics(
@@ -111,8 +120,8 @@ def diagnostics(
     m_n = complex(np.mean(g))
 
     pv_diag = np.diag(var).copy()
-    w = g_full * g_full.T
-    pw_row = np.einsum("ij,ij->i", var, w)
+    dots, pw_row, lambda_o = _row_passes(a, g_full, var)
+    var_g = var @ g
     cross = (pw_row - pv_diag * g * g) / g
     a_terms = pv_diag * g + cross
 
@@ -126,23 +135,21 @@ def diagnostics(
             z_self[i] = col.conj() @ gi @ col
             eiz[i] = var[i, keep] @ np.diag(gi)
     else:
-        z_self = (hdiag * g - _column_dots(a, g_full)) / g
-        eiz = (var @ g - pv_diag * g) - cross
+        z_self = (hdiag * g - dots) / g
+        eiz = (var_g - pv_diag * g) - cross
 
     z_terms = z_self - eiz
     upsilon = a_terms + hdiag - z_terms
-    denom = -z - var @ g + upsilon
+    denom = -z - var_g + upsilon
     residual = float(np.max(np.abs(g - 1.0 / denom)))
 
     m_sc = msc_eval(z)
     lambda_d = float(np.max(np.abs(g - m_sc)))
-    off = np.abs(g_full)
-    np.fill_diagonal(off, 0.0)
     return ResolventDiagnostics(
         z=z,
         m_n=m_n,
         lambda_d=lambda_d,
-        lambda_o=float(off.max()),
+        lambda_o=lambda_o,
         a_terms=a_terms,
         z_terms=z_terms,
         upsilon_terms=upsilon,

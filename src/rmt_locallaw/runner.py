@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dbm, lapack, locallaw, moments, stats
 from .csvio import csv_text
-from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
+from .ensembles import DRAW_CHUNK, EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError
 from .linalg import eigh
 from .parallel import BLAS_THREADS, affinity_cores, blas_libraries, default_workers, pmap
@@ -481,15 +481,40 @@ def moment_target_grid(count: int, gammas) -> list:
     return targets[:count]
 
 
+def _mc_power_stats(draws: np.ndarray) -> list:
+    """(sample mean, its standard error) of x^3 and of x^4 over the draws.
+
+    Streamed over DRAW_CHUNK-draw chunks in two passes, the means and then
+    the squared deviations from them, so no second array of the draws' size
+    is alive. The powers are repeated multiplies in a fixed order:
+    x^3 = (x*x)*x, x^4 = x^3*x (`**` goes through pow and is far slower).
+    """
+    n = draws.size
+    chunks = [draws[j:j + DRAW_CHUNK] for j in range(0, n, DRAW_CHUNK)]
+
+    def powers(c):
+        p3 = c * c
+        p3 *= c
+        return p3, p3 * c
+
+    sums = [0.0, 0.0]
+    for c in chunks:
+        for k, p in enumerate(powers(c)):
+            sums[k] += float(p.sum())
+    means = [s / n for s in sums]
+    squares = [0.0, 0.0]
+    for c in chunks:
+        for k, p in enumerate(powers(c)):
+            p -= means[k]
+            p *= p
+            squares[k] += float(p.sum())
+    return [(m, math.sqrt(sq / (n - 1)) / math.sqrt(n)) for m, sq in zip(means, squares)]
+
+
 def _mc_moments_ok(law, draws: np.ndarray, sigma: float) -> bool:
     """Sample means of x^3 and x^4 within sigma standard errors of the law's moments."""
-    ok = True
-    power = draws * draws
-    for target in (law.achieved_m3, law.achieved_m4):
-        power *= draws  # draws**3, then draws**4: in place, so one power array is alive
-        se = float(np.std(power, ddof=1) / math.sqrt(draws.size))
-        ok &= abs(float(np.mean(power)) - target) <= sigma * se
-    return ok
+    return all(abs(mean - target) <= sigma * se
+               for (mean, se), target in zip(_mc_power_stats(draws), (law.achieved_m3, law.achieved_m4)))
 
 
 def _exp_moments_match(cfg: ExperimentConfig):
@@ -497,22 +522,26 @@ def _exp_moments_match(cfg: ExperimentConfig):
     thr = cfg.thresholds
     gammas = pr["gammas"]
     targets = moment_target_grid(pr["grid_count"], gammas)
+    laws = [(t, g) for t in targets for g in gammas]
+
+    def _job(k):
+        # law k draws from its own stream, so results do not depend on scheduling
+        t, g = laws[k]
+        law = moments.match_four_moments(t, g)
+        mc_ok = pr["mc_draws"] == 0 or _mc_moments_ok(
+            law, law.to_distribution().sample(generator(cfg.seed, "mc", k), pr["mc_draws"]), thr["mc_sigma"]
+        )
+        return law, mc_ok
+
     rows = []
     ok_m3 = ok_m4 = ok_mc = True
-    rng_idx = 0
-    for t in targets:
-        for g in gammas:
-            law = moments.match_four_moments(t, g)
-            m3_err = abs(law.achieved_m3 - t.m3)
-            gap = law.m4_gap
-            ok_m3 &= m3_err <= thr["m3_tol"]
-            ok_m4 &= gap <= thr["m4_gap_coeff"] * g + 1e-12
-            mc_ok = pr["mc_draws"] == 0 or _mc_moments_ok(
-                law, law.to_distribution().sample(generator(cfg.seed, "mc", rng_idx), pr["mc_draws"]), thr["mc_sigma"]
-            )
-            ok_mc &= mc_ok
-            rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, gap, mc_ok])
-            rng_idx += 1
+    for (t, g), (law, mc_ok) in zip(laws, pmap(_job, range(len(laws)), cfg.workers)):
+        m3_err = abs(law.achieved_m3 - t.m3)
+        gap = law.m4_gap
+        ok_m3 &= m3_err <= thr["m3_tol"]
+        ok_m4 &= gap <= thr["m4_gap_coeff"] * g + 1e-12
+        ok_mc &= mc_ok
+        rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, gap, mc_ok])
     sweep_worst = 0.0
     for m3 in np.linspace(-_SWEEP_M3_MAX, _SWEEP_M3_MAX, 9):
         for m4 in np.linspace(1.0 + m3 * m3, pr["report_sweep_m4_max"], 9):
@@ -778,3 +807,7 @@ def main(argv=None) -> int:
         return 3
     print(report([manifest]))
     return 0 if manifest.all_passed else 1
+
+
+if __name__ == "__main__":  # python -m rmt_locallaw.runner, the same CLI as python -m rmt_locallaw
+    sys.exit(main())

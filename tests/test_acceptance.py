@@ -131,7 +131,7 @@ def test_criterion_6_edge_bound(tmp_path):
 def test_criterion_7_moment_matching(tmp_path):
     (manifest,) = _run_configs(tmp_path, "7 moment-matching", 120, {
         "experiment": "moments-match", "grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1_000_000,
-        "workers": 1, "thresholds": {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
+        "thresholds": {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
     })
     assert manifest.statistics["targets"] == 100
 

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from rmt_locallaw.dbm import flow_interpolate
 from rmt_locallaw.ensembles import (
+    DRAW_CHUNK,
     EntryDistribution,
     VarianceProfile,
     band_profile,
@@ -15,7 +16,7 @@ from rmt_locallaw.ensembles import (
     wigner_profile,
 )
 from rmt_locallaw.errors import DegenerateProfileError, NotFoundError, SamplingError
-from rmt_locallaw.moments import MomentTarget, three_point_construct
+from rmt_locallaw.moments import MomentTarget, match_four_moments, three_point_construct
 from rmt_locallaw.seeding import generator
 
 
@@ -227,3 +228,60 @@ def test_distribution_json_roundtrip():
     d = catalog_distribution("bernoulli")
     e = EntryDistribution.from_json(d.to_json())
     assert e == d
+
+
+def _dense_atoms(d, rng, size):
+    vals = np.array([v for v, _ in d.atoms])
+    cum = np.cumsum([p for _, p in d.atoms])
+    u = rng.random(size)
+    return vals[np.searchsorted(cum, u, side="right").clip(0, len(vals) - 1)]
+
+
+def _dense_sample(d, rng, size):
+    """The whole-array sampler the in-place one must reproduce bit for bit."""
+    base = _dense_atoms(d, rng, size)
+    if d.kind == "discrete-atoms":
+        return base
+    g = rng.standard_normal(size)
+    return math.sqrt(1.0 - d.gamma) * base + math.sqrt(d.gamma) * g
+
+
+# a three-point law with its atom at +0.0, the same law as a Gaussian-divisible
+# one, and a law whose first atom is -0.0 (written first, by fill)
+_ATOM_LAWS = [
+    three_point_construct(MomentTarget(0.5, 3.0)),
+    match_four_moments(MomentTarget(-0.7, 4.0), 0.01).to_distribution(),
+    EntryDistribution(kind="discrete-atoms", atoms=((-0.0, 0.5), (math.sqrt(2.0), 0.25), (-math.sqrt(2.0), 0.25)),
+                      m3=0.0, m4=2.0, subexp_alpha=1.0),
+]
+
+
+@pytest.mark.parametrize("size", [1, 1000, DRAW_CHUNK, 2 * DRAW_CHUNK + 17, (3, 5), (300, 301)])
+@pytest.mark.parametrize("law", range(len(_ATOM_LAWS)))
+def test_in_place_atom_draws_equal_the_dense_sampler(law, size):
+    d = _ATOM_LAWS[law]
+    got = d.sample(generator(5, law), size)
+    want = _dense_sample(d, generator(5, law), size)
+    assert got.shape == want.shape == np.empty(size).shape
+    assert got.tobytes() == want.tobytes()
+    if d.kind == "discrete-atoms":
+        # both signs of zero come out where the law puts them
+        zeros = got == 0.0
+        assert got.size == 1 or zeros.any()
+        assert np.all(np.signbit(got[zeros]) == (law == 2))
+
+
+def test_atom_selection_at_the_cumulative_boundaries():
+    class FixedUniforms:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, size):
+            return self.u.copy().reshape(size)
+
+    d = three_point_construct(MomentTarget(0.5, 3.0))
+    cum = np.cumsum([p for _, p in d.atoms])
+    u = np.array([0.0, cum[0], np.nextafter(cum[0], 0.0), cum[1], np.nextafter(cum[1], 0.0),
+                  np.nextafter(1.0, 0.0), cum[2], np.nextafter(cum[2], 2.0)])
+    got = d.sample(FixedUniforms(u), u.size)
+    assert got.tobytes() == _dense_atoms(d, FixedUniforms(u), u.size).tobytes()

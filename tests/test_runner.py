@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rmt_locallaw import runner
 from rmt_locallaw.errors import ConfigError
+from rmt_locallaw.moments import MomentTarget, match_four_moments
 from rmt_locallaw.runner import (
     RunManifest,
     main,
@@ -22,6 +23,7 @@ from rmt_locallaw.runner import (
     report,
     run,
 )
+from rmt_locallaw.seeding import generator
 
 
 def minimal_config(**overrides):
@@ -268,6 +270,21 @@ def test_python_m_runs_the_cli_without_warnings(tmp_path):
     assert "overall: PASS" in proc.stdout
 
 
+def test_python_m_runner_runs_the_experiment(tmp_path):
+    """The older spelling `python -m rmt_locallaw.runner` runs the same CLI: it
+    never exits 0 without having written the output directory."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config("largedev", n=40, trials=50, distribution="bernoulli"))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(runner.__file__).resolve().parents[1])}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmt_locallaw.runner", "largedev", "-c", str(cfg_path), "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode != 0 or (out / "largedev.manifest.json").is_file()
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_main_report_subcommand(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(minimal_config())
@@ -286,6 +303,33 @@ def test_acceptance_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(minimal_config(thresholds={"exponent": -5.0}))
     assert main(["rigidity", "-c", str(cfg_path), "-o", str(tmp_path / "o")]) == 1
+
+
+def _dense_power_stats(draws):
+    """The whole-array form of the Monte Carlo moment check."""
+    out = []
+    power = draws * draws
+    for _ in range(2):
+        power *= draws
+        out.append((float(np.mean(power)), float(np.std(power, ddof=1) / np.sqrt(draws.size))))
+    return out
+
+
+@pytest.mark.parametrize("size", [2, 2000, 1_000_000])
+def test_streamed_moment_check_matches_the_dense_form(size):
+    for k, (m3, m4) in enumerate([(0.0, 3.0), (0.9, 5.0), (-1.2, 2.5)]):
+        law = match_four_moments(MomentTarget(m3, m4), 0.01)
+        draws = law.to_distribution().sample(generator(11, "mc", size, k), size)
+        streamed, dense = runner._mc_power_stats(draws), _dense_power_stats(draws)
+        for (mean, se), (mean_d, se_d), target in zip(streamed, dense, (law.achieved_m3, law.achieved_m4)):
+            assert se > 0 and se_d > 0
+            z, z_d = abs(mean - target) / se, abs(mean_d - target) / se_d
+            assert z == pytest.approx(z_d, rel=1e-9)
+            for sigma in (0.5, 1.0, 2.0, 5.0):
+                assert (abs(mean - target) <= sigma * se) == (abs(mean_d - target) <= sigma * se_d)
+        assert runner._mc_moments_ok(law, draws, 5.0) == all(
+            abs(m - t) <= 5.0 * e for (m, e), t in zip(dense, (law.achieved_m3, law.achieved_m4))
+        )
 
 
 def test_moment_target_grid_is_feasible_and_capped():
