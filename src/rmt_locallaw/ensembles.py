@@ -39,6 +39,8 @@ _COLSUM_TOL = 1e-12
 _SPECTRUM_TOL = 1e-9
 # draws per chunk of the streamed sampling and Monte Carlo steps (512 KiB of float64)
 DRAW_CHUNK = 1 << 16
+# rows per block of sample_matrix's fill
+_SAMPLE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,10 @@ class EntryDistribution:
         if self.kind == "gaussian":
             return rng.standard_normal(size)
         if self.kind == "bernoulli":
-            return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
+            x = rng.integers(0, 2, size=size).astype(float)
+            x *= 2.0
+            x -= 1.0
+            return x
         if self.kind == "uniform":
             return rng.uniform(-_SQRT3, _SQRT3, size=size)
         if self.kind == "discrete-atoms":
@@ -338,19 +343,23 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     if p.column_sum_residual() > 1e-8:
         raise SamplingError("profile violates the column-sum normalization")
     n = p.n
+    var = p.variances
     rng = generator(seed, p.profile_id, d.dist_id, beta)
-    sigma = np.sqrt(p.variances)
     x = d.sample(rng, (n, n))
-    if beta == 2:
-        y = d.sample(rng, (n, n))
-        values = sigma * (x + 1j * y) / math.sqrt(2.0)
-        mirror = values.T.conj()
-    else:
-        values = sigma * x
-        mirror = values.T
-    # the upper triangle from values, the rest from the mirror: a selection,
-    # so no arithmetic can flip the sign of a zero
-    h = np.where(np.tri(n, dtype=bool).T, values, mirror)
-    np.fill_diagonal(h, np.diag(sigma) * np.diag(x))
+    y = d.sample(rng, (n, n)) if beta == 2 else None
+    h = np.empty((n, n), dtype=complex if beta == 2 else float)
+    # one block of rows at a time, so that only x, y and h are n x n: the
+    # entries on and above the diagonal, then those below it as exact
+    # (conjugate) copies of their mirrors, which no arithmetic can give a
+    # zero of the other sign
+    for r0 in range(0, n, _SAMPLE_ROWS):
+        rows = slice(r0, r0 + _SAMPLE_ROWS)
+        upper = (rows, slice(r0, None))
+        sigma = np.sqrt(var[upper])
+        h[upper] = sigma * (x[upper] + 1j * y[upper]) / math.sqrt(2.0) if beta == 2 else sigma * x[upper]
+        np.conjugate(h[:r0, rows].T, out=h[rows, :r0])
+        square = h[rows, rows]
+        np.copyto(square, square.T.conj(), where=np.tri(len(square), k=-1, dtype=bool))
+    np.fill_diagonal(h, np.sqrt(np.diag(var)) * np.diag(x))
     h.setflags(write=False)
     return MatrixSample(symmetry_class=beta, entries=h, profile_id=p.profile_id, dist_id=d.dist_id, seed=seed)

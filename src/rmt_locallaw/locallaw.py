@@ -72,22 +72,37 @@ class ResolventDiagnostics:
 
 
 def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
-    """Three O(n^2) reductions of one resolvent g of a Hermitian a, taken over
-    blocks of 64 rows so that every array is read in row order and no n x n
-    temporary is made: sum_j a_ij g_ji (column sums of conj(a) * g),
-    sum_j var_ij g_ij g_ji, and max_{i != j} |g_ij| (Lambda_o)."""
+    """Four O(n^2) reductions of one resolvent g of a Hermitian a, taken over
+    blocks of 64 rows so that every array is read in row order and the only
+    temporary is one 64 x n scratch block: sum_j a_ij g_ji (column sums of
+    conj(a) * g), sum_j var_ij g_jj, sum_j var_ij g_ij g_ji, and
+    max_{i != j} |g_ij| (Lambda_o)."""
     n = a.shape[0]
+    gd = np.diag(g)
     dots = np.zeros(n, dtype=complex)
+    var_g = np.empty(n, dtype=complex)
     pw_row = np.empty(n, dtype=complex)
     off_max = []
+    scratch = np.empty((min(n, 64), n), dtype=complex)
     for j in range(0, n, 64):
         rows = slice(j, j + 64)
-        dots += (a[rows].conj() * g[rows]).sum(axis=0)
-        pw_row[rows] = np.einsum("ij,ij->i", var[rows], g[rows] * g[:, rows].T)
-        off = np.abs(g[rows])
+        blk = scratch[: min(64, n - j)]
+        np.conjugate(a[rows], out=blk)
+        blk *= g[rows]
+        dots += blk.sum(axis=0)
+        # numpy takes a 1-row product through a dot product, which can differ
+        # in the last bit from the matrix-vector kernel of the other rows: a
+        # last block of one row is multiplied together with the row before it
+        lo = j - 1 if j == n - 1 and j else j
+        var_blk = scratch[: min(64, n - lo)]
+        var_blk[...] = var[lo:j + 64]
+        var_g[lo:j + 64] = var_blk @ gd
+        np.multiply(g[rows], g[:, rows].T, out=blk)
+        pw_row[rows] = np.einsum("ij,ij->i", var[rows], blk)
+        off = np.abs(g[rows], out=blk.real)
         np.fill_diagonal(off[:, rows], 0.0)
         off_max.append(off.max())
-    return dots, pw_row, float(np.max(off_max))
+    return dots, var_g, pw_row, float(np.max(off_max))
 
 
 def diagnostics(
@@ -120,8 +135,7 @@ def diagnostics(
     m_n = complex(np.mean(g))
 
     pv_diag = np.diag(var).copy()
-    dots, pw_row, lambda_o = _row_passes(a, g_full, var)
-    var_g = var @ g
+    dots, var_g, pw_row, lambda_o = _row_passes(a, g_full, var)
     cross = (pw_row - pv_diag * g * g) / g
     a_terms = pv_diag * g + cross
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -702,8 +703,10 @@ _REGISTRY = {
 }
 
 
-def _environment(cfg: ExperimentConfig) -> dict:
-    """What the run's speed depended on; kept out of every digested file."""
+def _environment(cfg: ExperimentConfig, timings: dict) -> dict:
+    """What the run's speed depended on and what it cost (the wall and CPU
+    seconds of each stage, the process's peak resident memory so far); kept
+    out of every digested file."""
     return {
         "blas_threads": BLAS_THREADS,
         "blas": {lib.name: lib.config for lib in blas_libraries()},
@@ -711,30 +714,38 @@ def _environment(cfg: ExperimentConfig) -> dict:
         "workers": cfg.workers if cfg.workers is not None else default_workers(),
         "affinity_cores": affinity_cores(),
         "numpy": np.__version__,
+        "timings": timings,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux counts KiB
     }
 
 
 def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
     """Execute one experiment; write outputs + manifest atomically into outdir."""
     os.makedirs(outdir, exist_ok=True)
-    start = time.monotonic()
+    wall0, cpu0 = time.monotonic(), time.process_time()
     files, statistics, acceptance, headline = _REGISTRY[cfg.experiment].body(cfg)
+    wall1, cpu1 = time.monotonic(), time.process_time()
     summary = json.dumps({"config": json.loads(cfg.to_json()), "statistics": statistics}, sort_keys=True, indent=1)
     files[f"{cfg.experiment}.summary.json"] = summary
     digests = {}
     for name, text in sorted(files.items()):
         _atomic_write(os.path.join(outdir, name), text)
         digests[name] = _digest(text)
+    wall2, cpu2 = time.monotonic(), time.process_time()
+    timings = {
+        "experiment": {"wall_s": wall1 - wall0, "cpu_s": cpu1 - cpu0},
+        "writes": {"wall_s": wall2 - wall1, "cpu_s": cpu2 - cpu1},
+    }
     manifest = RunManifest(
         experiment=cfg.experiment,
         config=json.loads(cfg.to_json()),
         artifact_version=ARTIFACT_VERSION,
-        wall_clock_s=time.monotonic() - start,
+        wall_clock_s=time.monotonic() - wall0,
         digests=digests,
         acceptance=acceptance,
         statistics=statistics,
         headline=headline,
-        environment=_environment(cfg),
+        environment=_environment(cfg, timings),
     )
     _atomic_write(os.path.join(outdir, f"{cfg.experiment}.manifest.json"), manifest.to_json())
     return manifest

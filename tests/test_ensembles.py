@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,3 +286,57 @@ def test_atom_selection_at_the_cumulative_boundaries():
                   np.nextafter(1.0, 0.0), cum[2], np.nextafter(cum[2], 2.0)])
     got = d.sample(FixedUniforms(u), u.size)
     assert got.tobytes() == _dense_atoms(d, FixedUniforms(u), u.size).tobytes()
+
+
+def _dense_draw(d, rng, size):
+    if d.kind == "bernoulli":
+        return 2.0 * rng.integers(0, 2, size=size).astype(float) - 1.0
+    return d.sample(rng, size)
+
+
+def _dense_sample_matrix(p, d, beta, seed):
+    """The whole-array sampler the row-blocked one must reproduce bit for bit."""
+    n = p.n
+    rng = generator(seed, p.profile_id, d.dist_id, beta)
+    sigma = np.sqrt(p.variances)
+    x = _dense_draw(d, rng, (n, n))
+    if beta == 2:
+        y = _dense_draw(d, rng, (n, n))
+        values = sigma * (x + 1j * y) / math.sqrt(2.0)
+        mirror = values.T.conj()
+    else:
+        values = sigma * x
+        mirror = values.T
+    h = np.where(np.tri(n, dtype=bool).T, values, mirror)
+    np.fill_diagonal(h, np.diag(sigma) * np.diag(x))
+    return h
+
+
+_MATRIX_LAWS = [catalog_distribution(name) for name in ("bernoulli", "gaussian", "uniform")] + _ATOM_LAWS[:2]
+
+
+@pytest.mark.parametrize("law", range(len(_MATRIX_LAWS)))
+@pytest.mark.parametrize("n", [1, 2, 31, 255, 256, 257, 300])
+def test_row_blocked_sample_equals_the_dense_sampler(n, law):
+    d = _MATRIX_LAWS[law]
+    for p in (wigner_profile(n), band_profile(n, max(1, n // 8), lambda x: max(0.0, 1.0 - abs(x)))):
+        for beta in (1, 2):
+            got = sample_matrix(p, d, beta, seed=5).entries
+            want = _dense_sample_matrix(p, d, beta, seed=5)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # every bit, so the sign of every zero too
+            if d.kind == "discrete-atoms" and n > 2:
+                assert np.any(got == 0.0)
+
+
+def test_sample_matrix_holds_its_draws_its_output_and_one_row_block():
+    # x, y and h make 2 x 16 n^2 bytes; the dense fill held about 4.6 x
+    n = 512
+    p = wigner_profile(n)
+    tracemalloc.start()
+    try:
+        sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * n * n

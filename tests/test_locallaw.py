@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmt_locallaw import locallaw
-from rmt_locallaw.ensembles import VarianceProfile, catalog_distribution, sample_matrix, wigner_profile
+from rmt_locallaw.ensembles import VarianceProfile, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.linalg import resolvent
 from rmt_locallaw.locallaw import (
@@ -19,6 +20,7 @@ from rmt_locallaw.locallaw import (
     verify_perturbation_identities,
     z_average_moments,
 )
+from rmt_locallaw.parallel import blas_threads
 from rmt_locallaw.semicircle import classical_locations, msc_eval
 
 
@@ -92,6 +94,31 @@ def test_diagnostics_fast_route_matches_minor_route():
             assert np.max(np.abs(fast.upsilon_terms - slow.upsilon_terms)) < 1e-10
             assert abs(fast.upsilon_max - slow.upsilon_max) < 1e-10
             assert slow.mainseeq_residual < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 130, 500, 1000, 2000])
+def test_row_blocked_var_times_diag_g_equals_the_whole_product(n):
+    # a 1-row block would go through numpy's dot path and differ by an ulp
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    with blas_threads(1):
+        for p in (wigner_profile(n), band_profile(n, max(1, n // 8), lambda x: max(0.0, 1.0 - abs(x)))):
+            _, var_g, _, _ = locallaw._row_passes(g, g, p.variances)
+            assert var_g.tobytes() == (p.variances @ np.diag(g)).tobytes()
+
+
+def test_diagnostics_holds_one_resolvent_and_one_row_block():
+    # G makes 16 n^2 bytes; casting var to complex for var @ g made it about 2 x
+    n = 512
+    p = wigner_profile(n)
+    h = sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=0)
+    tracemalloc.start()
+    try:
+        diagnostics(h, p, complex(0.3, n**-0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * n * n
 
 
 def test_diagnostics_dimension_mismatch():

@@ -170,7 +170,12 @@ def test_manifest_environment_is_kept_out_of_digested_files(tmp_path, monkeypatc
     assert env["blas_threads"] == 1 and env["workers"] == 3 and env["affinity_cores"] >= 1
     assert env["numpy"] == np.__version__ and env["blas"]
     assert env["lapack"]["resolvent"] == "zgetrf+zgetri"
-    monkeypatch.setattr(runner, "_environment", lambda cfg: {})
+    assert set(env["timings"]) == {"experiment", "writes"}
+    for stage in env["timings"].values():
+        assert set(stage) == {"wall_s", "cpu_s"} and all(v >= 0.0 for v in stage.values())
+    assert env["timings"]["experiment"]["wall_s"] + env["timings"]["writes"]["wall_s"] <= m1.wall_clock_s
+    assert env["peak_rss_mb"] > 1.0
+    monkeypatch.setattr(runner, "_environment", lambda cfg, timings: {})
     m2 = run(cfg, str(tmp_path / "b"))
     assert m2.digests == m1.digests and m2.environment == {}
     for name in m1.digests:
