@@ -39,7 +39,8 @@ _COLSUM_TOL = 1e-12
 _SPECTRUM_TOL = 1e-9
 # draws per chunk of the streamed sampling and Monte Carlo steps (512 KiB of float64)
 DRAW_CHUNK = 1 << 16
-# rows per block of sample_matrix's fill
+# rows per block of sample_matrix's draws and fill; the draw order, so the
+# bytes of every sample, depend on it
 _SAMPLE_ROWS = 64
 
 
@@ -334,9 +335,10 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     Entry (i, j), i < j, is an independent standardized draw scaled to
     variance sigma^2_ij (real and imaginary parts each sigma^2_ij/2 for
     beta=2); the diagonal is real with variance sigma^2_ii. All randomness is
-    a pure function of (profile, distribution, beta, seed). Each entry below
-    the diagonal is an exact (conjugate) copy of its mirror, so the sample is
-    Hermitian to the last bit.
+    a pure function of (profile, distribution, beta, seed): one stream, taken
+    in blocks of 64 rows, n values per row, the block's rows of x and then
+    (beta=2) of y. Each entry below the diagonal is an exact (conjugate) copy
+    of its mirror, so the sample is Hermitian to the last bit.
     """
     if beta not in (1, 2):
         raise SamplingError(f"symmetry class must be 1 or 2, got {beta}")
@@ -345,21 +347,24 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     n = p.n
     var = p.variances
     rng = generator(seed, p.profile_id, d.dist_id, beta)
-    x = d.sample(rng, (n, n))
-    y = d.sample(rng, (n, n)) if beta == 2 else None
     h = np.empty((n, n), dtype=complex if beta == 2 else float)
-    # one block of rows at a time, so that only x, y and h are n x n: the
-    # entries on and above the diagonal, then those below it as exact
-    # (conjugate) copies of their mirrors, which no arithmetic can give a
-    # zero of the other sign
+    # one block of rows at a time, so that h is the only n x n array: draw
+    # the block's rows of x, then of y; fill the entries on and above the
+    # diagonal; copy those below it from their mirrors, exactly (conjugated),
+    # so that no arithmetic can give a zero of the other sign; then the
+    # diagonal
     for r0 in range(0, n, _SAMPLE_ROWS):
         rows = slice(r0, r0 + _SAMPLE_ROWS)
-        upper = (rows, slice(r0, None))
-        sigma = np.sqrt(var[upper])
-        h[upper] = sigma * (x[upper] + 1j * y[upper]) / math.sqrt(2.0) if beta == 2 else sigma * x[upper]
+        x = d.sample(rng, (min(_SAMPLE_ROWS, n - r0), n))
+        sigma = np.sqrt(var[rows, r0:])
+        if beta == 2:
+            y = d.sample(rng, x.shape)
+            h[rows, r0:] = sigma * (x[:, r0:] + 1j * y[:, r0:]) / math.sqrt(2.0)
+        else:
+            h[rows, r0:] = sigma * x[:, r0:]
         np.conjugate(h[:r0, rows].T, out=h[rows, :r0])
         square = h[rows, rows]
         np.copyto(square, square.T.conj(), where=np.tri(len(square), k=-1, dtype=bool))
-    np.fill_diagonal(h, np.sqrt(np.diag(var)) * np.diag(x))
+        np.fill_diagonal(square, np.diag(sigma) * np.diag(x[:, rows]))
     h.setflags(write=False)
     return MatrixSample(symmetry_class=beta, entries=h, profile_id=p.profile_id, dist_id=d.dist_id, seed=seed)

@@ -72,15 +72,18 @@ class ResolventDiagnostics:
 
 
 def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
-    """Four O(n^2) reductions of one resolvent g of a Hermitian a, taken over
-    blocks of 64 rows so that every array is read in row order and the only
-    temporary is one 64 x n scratch block: sum_j a_ij g_ji (column sums of
-    conj(a) * g), sum_j var_ij g_jj, sum_j var_ij g_ij g_ji, and
-    max_{i != j} |g_ij| (Lambda_o)."""
+    """Four O(n^2) reductions of one resolvent g of a Hermitian a: sum_j
+    var_ij g_jj, as two real matrix-vector products (var is real, so it is
+    never cast to complex), then sum_j a_ij g_ji (column sums of
+    conj(a) * g), sum_j var_ij g_ij g_ji and max_{i != j} |g_ij| (Lambda_o),
+    taken over blocks of 64 rows so that every array is read in row order and
+    the only temporary is one 64 x n scratch block."""
     n = a.shape[0]
     gd = np.diag(g)
+    # one product over all of var: a short block goes through other dgemv
+    # paths and can move a row's sum by an ulp, a 1-row block through a dot
+    var_g = var @ gd.real + 1j * (var @ gd.imag)
     dots = np.zeros(n, dtype=complex)
-    var_g = np.empty(n, dtype=complex)
     pw_row = np.empty(n, dtype=complex)
     off_max = []
     scratch = np.empty((min(n, 64), n), dtype=complex)
@@ -90,13 +93,6 @@ def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
         np.conjugate(a[rows], out=blk)
         blk *= g[rows]
         dots += blk.sum(axis=0)
-        # numpy takes a 1-row product through a dot product, which can differ
-        # in the last bit from the matrix-vector kernel of the other rows: a
-        # last block of one row is multiplied together with the row before it
-        lo = j - 1 if j == n - 1 and j else j
-        var_blk = scratch[: min(64, n - lo)]
-        var_blk[...] = var[lo:j + 64]
-        var_g[lo:j + 64] = var_blk @ gd
         np.multiply(g[rows], g[:, rows].T, out=blk)
         pw_row[rows] = np.einsum("ij,ij->i", var[rows], blk)
         off = np.abs(g[rows], out=blk.real)

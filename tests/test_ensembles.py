@@ -295,13 +295,20 @@ def _dense_draw(d, rng, size):
 
 
 def _dense_sample_matrix(p, d, beta, seed):
-    """The whole-array sampler the row-blocked one must reproduce bit for bit."""
+    """The whole-array sampler the row-blocked one must reproduce bit for bit:
+    its planes are the stream's 64-row blocks, an x block then a y block."""
     n = p.n
     rng = generator(seed, p.profile_id, d.dist_id, beta)
     sigma = np.sqrt(p.variances)
-    x = _dense_draw(d, rng, (n, n))
+    x_blocks, y_blocks = [], []
+    for r0 in range(0, n, 64):
+        shape = (min(64, n - r0), n)
+        x_blocks.append(_dense_draw(d, rng, shape))
+        if beta == 2:
+            y_blocks.append(_dense_draw(d, rng, shape))
+    x = np.concatenate(x_blocks)
     if beta == 2:
-        y = _dense_draw(d, rng, (n, n))
+        y = np.concatenate(y_blocks)
         values = sigma * (x + 1j * y) / math.sqrt(2.0)
         mirror = values.T.conj()
     else:
@@ -330,8 +337,9 @@ def test_row_blocked_sample_equals_the_dense_sampler(n, law):
 
 
 def test_sample_matrix_holds_its_draws_its_output_and_one_row_block():
-    # x, y and h make 2 x 16 n^2 bytes; the dense fill held about 4.6 x
-    n = 512
+    # h makes 16 n^2 bytes, and one row block's draws and temporaries about
+    # 5 x 64 n x 8 more (1.16 x in all); whole x and y planes made 2.1 x
+    n = 1024
     p = wigner_profile(n)
     tracemalloc.start()
     try:
@@ -339,4 +347,4 @@ def test_sample_matrix_holds_its_draws_its_output_and_one_row_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 16 * n * n
+    assert peak <= 1.2 * 16 * n * n

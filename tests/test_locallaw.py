@@ -98,13 +98,15 @@ def test_diagnostics_fast_route_matches_minor_route():
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 130, 500, 1000, 2000])
 def test_row_blocked_var_times_diag_g_equals_the_whole_product(n):
-    # a 1-row block would go through numpy's dot path and differ by an ulp
+    # the real-split product over the whole of var: 64-row blocks of it (with
+    # or without a 1-row guard) differ from it by an ulp at n = 65 and 129
     rng = np.random.default_rng(n)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gd = np.diag(g)
     with blas_threads(1):
         for p in (wigner_profile(n), band_profile(n, max(1, n // 8), lambda x: max(0.0, 1.0 - abs(x)))):
             _, var_g, _, _ = locallaw._row_passes(g, g, p.variances)
-            assert var_g.tobytes() == (p.variances @ np.diag(g)).tobytes()
+            assert var_g.tobytes() == (p.variances @ gd.real + 1j * (p.variances @ gd.imag)).tobytes()
 
 
 def test_diagnostics_holds_one_resolvent_and_one_row_block():
