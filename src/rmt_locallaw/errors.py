@@ -43,7 +43,3 @@ class NotFoundError(RMTError, LookupError):
 
 class EmptyError(RMTError, ValueError):
     """Estimator invoked on an empty sample."""
-
-
-class StepError(RMTError, RuntimeError):
-    """SDE step could not resolve a particle collision."""

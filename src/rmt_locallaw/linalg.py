@@ -1,5 +1,4 @@
-"""Dense Hermitian eigensolver wrapper, LU resolvents of minors and their
-quadratic forms.
+"""Dense Hermitian eigensolver wrapper and LU resolvents of minors.
 
 The resolvent path is an LU factorization with partial pivoting of
 (H^(T) - z), inverted from its factors (LAPACK zgetrf + zgetri); the
@@ -18,9 +17,7 @@ from . import lapack
 from .ensembles import MatrixSample
 from .errors import ConvergenceError, DomainError, SolverError, SymmetryError
 
-__all__ = [
-    "Spectrum", "ResolventSlice", "eigenvalues", "eigh", "minor", "surviving_indices", "resolvent", "quadratic_form_z",
-]
+__all__ = ["Spectrum", "ResolventSlice", "eigenvalues", "eigh", "surviving_indices", "resolvent"]
 
 _HERM_TOL = 1e-12
 
@@ -90,13 +87,6 @@ def surviving_indices(n: int, t) -> np.ndarray:
     return np.array([i for i in range(n) if i not in t], dtype=int)
 
 
-def minor(h, t) -> np.ndarray:
-    """Minor H^(T): rows and columns in t removed, order preserved."""
-    a = _as_matrix(h)
-    keep = surviving_indices(a.shape[0], t)
-    return a[np.ix_(keep, keep)]
-
-
 @dataclass
 class ResolventSlice:
     """Resolvent G^(T)(z) of a minor, addressable by original indices."""
@@ -135,24 +125,3 @@ def resolvent(h, z: complex, t=()) -> ResolventSlice:
     if not np.all(np.isfinite(g)):
         raise SolverError(f"shifted solve produced non-finite entries at z={z}")
     return ResolventSlice(surviving=keep, entries=g)
-
-
-def quadratic_form_z(h, i: int, j: int, t, z: complex):
-    """Quadratic form Z^(T)_ij = a^i . G^(T) a^j and K^(T)_ij.
-
-    a^i is the i-th column of H restricted to the indices surviving t; the
-    caller supplies the exact removal set (include i itself to form the
-    K^(iT) quantities). Returns the pair (Z, K) with
-    K^(T)_ij = h_ij - z*delta_ij - Z^(T)_ij.
-    """
-    a = _as_matrix(h)
-    n = a.shape[0]
-    for idx in (i, j):
-        if not 0 <= idx < n:
-            raise IndexError(f"index {idx} out of range for dimension {n}")
-    sl = resolvent(a, z, t)
-    ai = a[sl.surviving, i]
-    aj = a[sl.surviving, j]
-    zval = complex(ai.conj() @ sl.entries @ aj)
-    kval = complex(a[i, j]) - complex(z) * (1.0 if i == j else 0.0) - zval
-    return zval, kval

@@ -59,7 +59,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # JSON's NaN and Infinity parse to floats; no config value may be one
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _one_of(*names) -> tuple:
@@ -80,6 +81,8 @@ _KINDS = {
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
     "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
+    "times": (lambda v: isinstance(v, list) and v and all(_is_number(x) and x >= 0 for x in v),
+              "a non-empty list of numbers >= 0"),
     "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
                "a non-empty list of numbers in (0, 1)"),
     "variant": _one_of(*DOMAIN_VARIANTS),
@@ -234,6 +237,13 @@ def _ensemble(cfg: ExperimentConfig, n: int):
     return profile, dist, beta
 
 
+# each manifest field and the type `report` reads it as
+_MANIFEST_TYPES = {
+    "experiment": str, "config": dict, "artifact_version": str, "wall_clock_s": (int, float), "digests": dict,
+    "acceptance": dict, "statistics": dict, "headline": dict, "environment": dict,
+}
+
+
 @dataclass
 class RunManifest:
     """Run record: config echo, digests of every output, pass/fail clauses,
@@ -273,18 +283,29 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        return cls(
-            experiment=doc["experiment"],
-            config=doc["config"],
-            artifact_version=doc["artifact_version"],
-            wall_clock_s=doc["wall_clock_s"],
-            digests=doc["digests"],
-            acceptance=doc["acceptance"],
-            statistics=doc["statistics"],
-            headline=doc.get("headline", {}),
-            environment=doc.get("environment", {}),
-        )
+        """Read a manifest; a document that is not one is a ConfigError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("manifest must be a JSON object")
+        doc = {"headline": {}, "environment": {}, **doc}  # manifests written before these fields existed
+        for key, kind in _MANIFEST_TYPES.items():
+            if key not in doc:
+                raise ConfigError(f"manifest has no key {key!r}")
+            if not isinstance(doc[key], kind):
+                raise ConfigError(f"manifest key {key!r} has the wrong type ({type(doc[key]).__name__})")
+        return cls(**{key: doc[key] for key in _MANIFEST_TYPES})
+
+
+def _read_text(path: str) -> str:
+    """A config or manifest file's text; one that is not UTF-8 is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _atomic_write(path: str, data: str | bytes) -> None:
@@ -670,7 +691,7 @@ _REGISTRY = {
     "edge": _Experiment(_exp_edge, {"n": "count", "samples": "count"}, {"epsilon": 0.05}, {}),
     "dbm-gaps": _Experiment(
         _exp_dbm_gaps, {"n": "count", "samples": "count"}, {"times": [0.0, 0.1, 1.0], "kappa_cut": 0.5},
-        {"ks_max": 0.03, "min_gaps": 0},
+        {"ks_max": 0.03, "min_gaps": 0}, checks={"times": "times"},
     ),
     "moments-match": _Experiment(
         _exp_moments_match,
@@ -786,16 +807,16 @@ def main(argv=None) -> int:
 
     if args.command == "report":
         try:
-            ms = [RunManifest.from_json(open(path).read()) for path in args.manifests]
+            ms = [RunManifest.from_json(_read_text(path)) for path in args.manifests]
             text = report(ms)
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        except (OSError, ConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(text)
         return 0 if all(m.all_passed for m in ms) else 1
 
     try:
-        cfg = parse_config(open(args.config).read())
+        cfg = parse_config(_read_text(args.config))
         if args.workers is not None:
             _check("--workers", args.workers, "count")
             cfg.workers = args.workers

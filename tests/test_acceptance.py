@@ -5,18 +5,23 @@ them live) and asserts both the statistical clause and the runtime budget.
 """
 
 import json
+import pathlib
 import time
 
 import numpy as np
+import pytest
 
 import _acceptance_log
 from rmt_locallaw import runner
 from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.locallaw import diagnostics, verify_perturbation_identities
+from rmt_locallaw.parallel import numpy_openblas
 from rmt_locallaw.seeding import derive_seed
 from rmt_locallaw.semicircle import classical_locations, nsc_eval, rho_sc
 
 SEED = 20260808
+DETERMINISM_SEED = 424242
+DIGESTS = pathlib.Path(__file__).parent / "data" / "determinism_digests.json"
 
 
 def _record(name, passed, detail, elapsed, budget):
@@ -180,7 +185,7 @@ def test_criterion_11_determinism(tmp_path):
     all_ok = True
     mismatches = []
     for tag, body in _determinism_configs().items():
-        doc = {"experiment": tag, "seed": 424242, **body}
+        doc = {"experiment": tag, "seed": DETERMINISM_SEED, **body}
         digests = []
         for workers in (1, 4):
             cfg = runner.parse_config(json.dumps(doc))
@@ -193,3 +198,41 @@ def test_criterion_11_determinism(tmp_path):
     elapsed = time.monotonic() - t0
     detail = "all 10 experiments byte-identical at workers 1 vs 4" if all_ok else f"mismatch: {mismatches}"
     _record("11 determinism", all_ok, detail, elapsed, 600)
+
+
+def determinism_digest_table(outdir: pathlib.Path) -> dict:
+    """Criterion 11's runs at workers=1: each one's manifest digests, with
+    the artifact version and the BLAS build and numpy version they depend on."""
+    digests = {}
+    for tag, body in _determinism_configs().items():
+        cfg = runner.parse_config(json.dumps({"experiment": tag, "seed": DETERMINISM_SEED, **body}))
+        cfg.workers = 1
+        digests[tag] = runner.run(cfg, str(outdir / tag)).digests
+    return {
+        "artifact_version": runner.ARTIFACT_VERSION,
+        "blas": numpy_openblas().config,
+        "numpy": np.__version__,
+        "digests": digests,
+    }
+
+
+def test_criterion_11_digests_match_the_pinned_table(tmp_path):
+    # bytes may differ on another BLAS build or numpy; on the pinned build any
+    # drift fails, and a new ARTIFACT_VERSION needs a regenerated table
+    pinned = json.loads(DIGESTS.read_text())
+    blas, numpy_version = numpy_openblas().config, np.__version__
+    if (blas, numpy_version) != (pinned["blas"], pinned["numpy"]):
+        pytest.skip(f"digests pinned on {pinned['blas']!r} with numpy {pinned['numpy']}; "
+                    f"this is {blas!r} with numpy {numpy_version}")
+    assert runner.ARTIFACT_VERSION == pinned["artifact_version"], (
+        f"ARTIFACT_VERSION is {runner.ARTIFACT_VERSION}, the table is for {pinned['artifact_version']}: "
+        "regenerate it with `PYTHONPATH=src python tests/test_acceptance.py`"
+    )
+    assert determinism_digest_table(tmp_path)["digests"] == pinned["digests"]
+
+
+if __name__ == "__main__":  # regenerate the pinned table: PYTHONPATH=src python tests/test_acceptance.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.write_text(json.dumps(determinism_digest_table(pathlib.Path(tmp)), sort_keys=True, indent=1) + "\n")

@@ -69,6 +69,9 @@ BAD_VALUES = [
     (config("largedev", n=40, trials=10, distribution="bernoulli", coefficient_case="abc"), "coefficient_case must be"),
     (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=1), "mc_draws must be"),
     (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=-3), "mc_draws must be"),
+    (config("dbm-gaps", n=40, samples=1, times=[0, float("nan")]), "times must be"),
+    (config("edge", n=40, samples=1, epsilon=float("nan")), "epsilon must be"),
+    (config("dbm-gaps", n=40, samples=1, times=[0, -1]), "times must be"),
 ]
 
 
@@ -235,6 +238,15 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert main(["rigidity", "-c", str(tmp_path / "missing.json"), "-o", str(out)]) == 2
 
+    # a config that is not UTF-8: one line naming the file, and no output directory
+    never = tmp_path / "never"
+    bad.write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    assert main(["rigidity", "-c", str(bad), "-o", str(never)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error") and str(bad) in err
+    assert not never.exists()
+
     # --workers takes the config key's check
     for workers in ("0", "-3"):
         capsys.readouterr()
@@ -243,7 +255,6 @@ def test_main_exit_codes(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("config error") and "--workers must be" in err
 
     # bad keys, values and laws: one line naming the key, and no output directory
-    never = tmp_path / "never"
     for text, key in BAD_VALUES:
         bad.write_text(text)
         capsys.readouterr()
@@ -299,6 +310,22 @@ def test_main_report_subcommand(tmp_path, capsys):
     code = main(["report", str(out / "rigidity.manifest.json")])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+    # a file that is not a manifest: one line naming the key or the problem
+    path = tmp_path / "m.json"
+    for data, message in [
+        (b'{"experiment": "rigidity"}', "manifest has no key 'config'"),
+        (b"[1, 2]", "manifest must be a JSON object"),
+        (json.dumps({"experiment": "edge", "config": {}, "artifact_version": "0", "wall_clock_s": "1s", "digests": {},
+                     "acceptance": {}, "statistics": {}}).encode(), "manifest key 'wall_clock_s' has the wrong type"),
+        (b"{not json", "manifest is not valid JSON"),
+        (b"\xff\xfe{", f"{path} is not UTF-8 text"),
+    ]:
+        path.write_bytes(data)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and message in captured.err
 
 
 def test_acceptance_failure_exit_code(tmp_path):

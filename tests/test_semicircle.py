@@ -136,11 +136,6 @@ def test_theta_small_eta_center():
     assert t == pytest.approx(1.0, rel=0.05)  # msc^2 ~ -1 so both denominators ~ 2
 
 
-def test_theta_simplified():
-    pt = SpectralPoint(2.0, 4.0)  # kappa + eta = 4
-    assert theta_eval(pt, ControlFunction(), variant="simplified") == 0.5
-
-
 def test_theta_lower_bound_and_edge_power():
     ctrl = ControlFunction(delta_plus=1.0, edge_exponent_a=1)
     rng = np.random.default_rng(2)
@@ -153,13 +148,6 @@ def test_theta_lower_bound_and_edge_power():
         worst_c = max(worst_c, t * (pt.kappa + pt.eta) ** 0.5)
     # constant in theta <= C (kappa+eta)^(-A/2) reported, generous bracket
     assert worst_c < 50
-
-
-def test_theta_simplified_monotone_in_eta():
-    for e in (0.0, 1.0, 1.9):
-        etas = np.linspace(1e-4, 10, 200)
-        vals = [theta_eval(SpectralPoint(e, eta), ControlFunction(), variant="simplified") for eta in etas]
-        assert np.all(np.diff(vals) <= 1e-15)
 
 
 def test_in_domain_large_eta_everywhere():
@@ -187,11 +175,3 @@ def test_in_domain_flips_monotonically_in_eta():
     flags = [in_domain(SpectralPoint(4.9, float(eta)), ctrl, n, float(n), "D_theorem") for eta in etas]
     assert flags[0] is False and flags[-1] is True
     assert np.all(np.diff(np.asarray(flags, dtype=int)) >= 0)
-
-
-def test_in_domain_strict_is_stricter():
-    ctrl = ControlFunction()
-    pt = SpectralPoint(0.0, 0.05)
-    n = 1000
-    assert in_domain(pt, ctrl, n, float(n), "D_star")
-    assert not in_domain(pt, ctrl, n, float(n), "D_star", strict=True)
