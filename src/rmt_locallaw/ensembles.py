@@ -220,13 +220,24 @@ class EntryDistribution:
     dist_id: str = ""
 
     def __post_init__(self):
+        # each test reads "not (... <= tol)", so that a NaN fails it; a NaN or
+        # infinite atom value or probability fails the sum or moment test
+        if not all(map(math.isfinite, (self.m3, self.m4))):
+            raise ValueError(f"m3 and m4 must be finite, got {self.m3}, {self.m4}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.kind in ("discrete-atoms", "gaussian-divisible"):
             if not self.atoms:
                 raise ValueError(f"{self.kind} law requires atoms")
             probs = np.array([p for _, p in self.atoms])
-            if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < -1e-15):
+            if not abs(probs.sum() - 1.0) <= 1e-12 or np.any(probs < -1e-15):
                 raise ValueError("atom probabilities must be nonnegative and sum to 1")
-        if self.m4 - self.m3**2 - 1.0 < -1e-12:
+            # mean 0 and variance 1 to the tolerance three_point_construct asserts
+            mean = sum(p * v for v, p in self.atoms)
+            var = sum(p * v * v for v, p in self.atoms)
+            if not (abs(mean) <= 1e-12 and abs(var - 1.0) <= 1e-12):
+                raise ValueError(f"atoms must have mean 0 and variance 1, got mean {mean:.3g}, variance {var:.3g}")
+        if not self.m4 - self.m3**2 - 1.0 >= -1e-12:
             raise ValueError(f"infeasible moments: m4 - m3^2 - 1 = {self.m4 - self.m3 ** 2 - 1.0:.3g} < 0")
         if not self.dist_id:
             object.__setattr__(self, "dist_id", self.kind)

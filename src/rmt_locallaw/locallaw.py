@@ -3,8 +3,8 @@
 Per-sample quantities: the self-consistent error terms A_i, Z_i, Upsilon_i,
 the diagonal/off-diagonal deviations Lambda_d / Lambda_o, and the exact
 self-consistent identity residual. Experiments: local-law scans, counting
-function accuracy, eigenvalue rigidity, edge containment, large-deviation
-Monte Carlo and the averaged-Z moment table.
+function accuracy, eigenvalue rigidity, edge containment and the averaged-Z
+moment table.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "rigidity_stat",
     "EdgeReport",
     "edge_check",
-    "LargeDeviationResult",
-    "large_deviation_mc",
     "ZMomentTable",
     "z_average_moments",
     "x_control",
@@ -380,90 +378,6 @@ def edge_check(spectrum, epsilon: float) -> EdgeReport:
         upper_margin=upper,
         norm_bound_ok=norm_ok,
         threshold=2.0 + delta,
-    )
-
-
-@dataclass
-class LargeDeviationResult:
-    rate: float
-    wilson_low: float
-    wilson_high: float
-    threshold: float
-    exceedances: int
-    trials: int
-
-
-COEFFICIENT_CASES = ("linear", "diagonal", "offdiagonal")
-# complex draws per large_deviation_mc batch, in bytes (16 per draw)
-_BATCH_BYTES = 32 * 2**20
-
-
-def _wilson(k: int, n: int, z: float = 1.96):
-    if n == 0:
-        return 0.0, 1.0
-    phat = k / n
-    denom = 1 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def large_deviation_mc(
-    d: EntryDistribution,
-    n: int,
-    trials: int,
-    coefficient_case: str,
-    seed: int,
-    coefficients=None,
-    log_alpha: float | None = None,
-) -> LargeDeviationResult:
-    """Empirical exceedance rate of the linear/quadratic-form tail bounds.
-
-    coefficient_case: "linear" (sum a_i A_i), "diagonal"
-    (sum |a_i|^2 B_ii - sum B_ii), or "offdiagonal" (sum_{i != j} a_i* B_ij a_j),
-    with complex unit-variance entries a_i built from two independent draws of
-    d. Coefficients default to a fixed Gaussian fixture derived from the seed.
-    Thresholds carry (ln N)^p prefactors: p = 3/2 + a, 3/2 + 2a, 3 + 2a for the
-    three cases, a being the subexponential decay exponent.
-    """
-    if coefficient_case not in COEFFICIENT_CASES:
-        raise ConfigError(f"unknown coefficient case {coefficient_case!r}")
-    alpha = d.subexp_alpha if log_alpha is None else log_alpha
-    logn = math.log(max(n, 2))
-    rng_c = generator(seed, "coefficients")
-    if coefficient_case == "linear":
-        a_c = coefficients if coefficients is not None else rng_c.standard_normal(n)
-        a_c = np.asarray(a_c, dtype=complex)
-        threshold = logn ** (1.5 + alpha) * math.sqrt(float(np.sum(np.abs(a_c) ** 2)))
-    else:
-        b = coefficients if coefficients is not None else rng_c.standard_normal((n, n))
-        b = np.asarray(b, dtype=complex)
-        if coefficient_case == "diagonal":
-            threshold = logn ** (1.5 + 2 * alpha) * math.sqrt(float(np.sum(np.abs(np.diag(b)) ** 2)))
-        else:
-            off = b.copy()
-            np.fill_diagonal(off, 0.0)
-            threshold = logn ** (3.0 + 2 * alpha) * math.sqrt(float(np.sum(np.abs(off) ** 2)))
-
-    rng = generator(seed, "draws")
-    batch = max(1, min(trials, _BATCH_BYTES // (16 * max(n, 1))))
-    exceed = 0
-    done = 0
-    while done < trials:
-        m = min(batch, trials - done)
-        draws = (d.sample(rng, (m, n)) + 1j * d.sample(rng, (m, n))) / math.sqrt(2.0)
-        if coefficient_case == "linear":
-            vals = np.abs(draws @ a_c)
-        elif coefficient_case == "diagonal":
-            vals = np.abs((np.abs(draws) ** 2 - 1.0) @ np.diag(b))
-        else:
-            vals = np.abs(np.einsum("ti,ij,tj->t", draws.conj(), off, draws))
-        exceed += int(np.sum(vals > threshold))
-        done += m
-    low, high = _wilson(exceed, trials)
-    return LargeDeviationResult(
-        rate=exceed / trials, wilson_low=low, wilson_high=high,
-        threshold=float(threshold), exceedances=exceed, trials=trials,
     )
 
 

@@ -88,8 +88,6 @@ _KINDS = {
     "variant": _one_of(*DOMAIN_VARIANTS),
     "profile": _one_of("wigner", "band"),
     "band_shape": _one_of(*_SHAPES),
-    "functional": _one_of(*stats.FUNCTIONALS),
-    "coefficient_case": _one_of(*locallaw.COEFFICIENT_CASES),
     "str": (lambda v: isinstance(v, str), "a string"),
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
     "object": (lambda v: isinstance(v, dict), "an object"),
@@ -382,9 +380,22 @@ def _per_sample_eigenvalues(cfg: ExperimentConfig, n: int, tag: str):
     return pmap(_job, list(range(cfg.params["samples"])), cfg.workers)
 
 
+def _power_threshold(n: int, thr: dict, key: str, coeff: float = 1.0) -> float:
+    """coeff * n ** thr[key], in floating point: Python's exact integer power
+    takes superlinear time on a huge integer exponent. A value that overflows
+    is a ConfigError naming thresholds.<key>."""
+    try:
+        value = coeff * float(n) ** thr[key]
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"thresholds.{key} = {thr[key]!r} makes the threshold overflow at n = {n}")
+    return value
+
+
 def _exp_rigidity(cfg: ExperimentConfig):
     n = cfg.params["n"]
-    thr_value = float(n ** cfg.thresholds["exponent"])
+    thr_value = _power_threshold(n, cfg.thresholds, "exponent")
     values = [locallaw.rigidity_stat(lam).total for lam in _per_sample_eigenvalues(cfg, n, "rigidity")]
     rows = [[si, v] for si, v in enumerate(values)]
     files = {"rigidity.csv": csv_text("rigidity", ["sample_index", "sum_sq_dev"], rows)}
@@ -397,7 +408,7 @@ def _exp_rigidity(cfg: ExperimentConfig):
 def _exp_counting(cfg: ExperimentConfig):
     n = cfg.params["n"]
     thr = cfg.thresholds
-    thr_value = thr["coeff"] * n ** thr["power"] / n
+    thr_value = _power_threshold(n, thr, "power", thr["coeff"]) / n
     a_exp = cfg.params["a_exponent"]
     values = [locallaw.counting_gap(lam, a_exp) for lam in _per_sample_eigenvalues(cfg, n, "counting")]
     passed = sum(v < thr_value for v in values)
@@ -589,48 +600,6 @@ def _exp_moments_match(cfg: ExperimentConfig):
     return files, statistics, acceptance, headline
 
 
-def _exp_green_compare(cfg: ExperimentConfig):
-    pr = cfg.params
-    n = pr["n"]
-    profile, dist_a, beta = _ensemble(cfg, n)
-    dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
-    eta = pr["eta_factor"] / n
-    z_list = [complex(e, eta) for e in pr["e_values"]]
-    rep = stats.green_comparison(
-        profile, dist_a, dist_b, beta, z_list,
-        functional=pr["functional"], n_samples=pr["samples"], seed=cfg.seed, workers=cfg.workers,
-    )
-    rows = [[str(r["z"]), r["component"], r["diff"], r["stderr"], r["zscore"]] for r in rep.rows]
-    files = {
-        "green-compare.csv": csv_text("green-compare", ["z", "component", "diff", "stderr", "zscore"], rows),
-        "green-compare.report.json": rep.to_json(),
-    }
-    statistics = {"moment_mismatch": rep.moment_mismatch, "max_abs_zscore": rep.max_abs_zscore()}
-    acceptance = {"difference_within_errors": rep.max_abs_zscore() < cfg.thresholds["zscore_max"]}
-    headline = {
-        "statistic": f"max |diff|/se = {rep.max_abs_zscore():.3g}, moment mismatch {rep.moment_mismatch['max']:.3g}",
-        "threshold": f"< {cfg.thresholds['zscore_max']} se",
-    }
-    return files, statistics, acceptance, headline
-
-
-def _exp_largedev(cfg: ExperimentConfig):
-    pr = cfg.params
-    dist = _resolve_distribution(pr["distribution"], "distribution")
-    res = locallaw.large_deviation_mc(dist, pr["n"], pr["trials"], pr["coefficient_case"], cfg.seed)
-    files = {
-        "largedev.csv": csv_text(
-            "largedev",
-            ["case", "rate", "wilson_low", "wilson_high", "threshold", "trials"],
-            [[pr["coefficient_case"], res.rate, res.wilson_low, res.wilson_high, res.threshold, res.trials]],
-        )
-    }
-    statistics = {"rate": res.rate, "wilson": [res.wilson_low, res.wilson_high], "threshold": res.threshold}
-    acceptance = {"rate_below_max": res.rate <= cfg.thresholds["rate_max"]}
-    headline = {"statistic": f"exceedance rate {res.rate:.3g}", "threshold": f"<= {cfg.thresholds['rate_max']}"}
-    return files, statistics, acceptance, headline
-
-
 def _exp_zmoments(cfg: ExperimentConfig):
     pr = cfg.params
     n = pr["n"]
@@ -701,18 +670,6 @@ _REGISTRY = {
         ensemble=False,
         checks={"grid_count": "count", "gammas": "gammas", "mc_draws": "draws", "report_sweep_m4_max": "sweep_m4"},
     ),
-    "green-compare": _Experiment(
-        _exp_green_compare,
-        {"distribution_b": "law", "n": "count", "samples": "count"},
-        {"e_values": [0.0], "eta_factor": 1.0, "functional": "trace"},
-        {"zscore_max": 3.0},
-        checks={"functional": "functional"},
-    ),
-    "largedev": _Experiment(
-        _exp_largedev, {"distribution": "law", "n": "count", "trials": "count"},
-        {"coefficient_case": "offdiagonal"}, {"rate_max": 0.01}, ensemble=False,
-        checks={"coefficient_case": "coefficient_case"},
-    ),
     "zmoments": _Experiment(
         _exp_zmoments, {"n": "count", "z": "point", "samples": "count"}, {"p_max": 2, "log_alpha": 1.0},
         {"ratio_max": 1.0},
@@ -741,11 +698,13 @@ def _environment(cfg: ExperimentConfig, timings: dict) -> dict:
 
 
 def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
-    """Execute one experiment; write outputs + manifest atomically into outdir."""
-    os.makedirs(outdir, exist_ok=True)
+    """Execute one experiment; write outputs + manifest atomically into outdir.
+
+    The body writes nothing, so a config error it raises leaves no outdir."""
     wall0, cpu0 = time.monotonic(), time.process_time()
     files, statistics, acceptance, headline = _REGISTRY[cfg.experiment].body(cfg)
     wall1, cpu1 = time.monotonic(), time.process_time()
+    os.makedirs(outdir, exist_ok=True)
     summary = json.dumps({"config": json.loads(cfg.to_json()), "statistics": statistics}, sort_keys=True, indent=1)
     files[f"{cfg.experiment}.summary.json"] = summary
     digests = {}

@@ -1,4 +1,4 @@
-"""The README's library tour runs, and every exported name exists."""
+"""The README's library tour runs, its tag list is complete, and every exported name exists."""
 
 import importlib
 import pathlib
@@ -8,6 +8,7 @@ import re
 import pytest
 
 import rmt_locallaw
+from rmt_locallaw import runner
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 MODULES = ["rmt_locallaw"] + [f"rmt_locallaw.{m.name}" for m in pkgutil.iter_modules(rmt_locallaw.__path__)]
@@ -18,6 +19,11 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_lists_every_experiment_tag():
+    listed = re.search(r"Available tags: (.*?)\.\n\n", README.read_text(), flags=re.S).group(1)
+    assert sorted(re.findall(r"`([\w-]+)`", listed)) == sorted(runner._REGISTRY)
 
 
 @pytest.mark.parametrize("name", MODULES)

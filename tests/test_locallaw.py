@@ -14,7 +14,6 @@ from rmt_locallaw.locallaw import (
     counting_gap,
     diagnostics,
     edge_check,
-    large_deviation_mc,
     local_law_scan,
     rigidity_stat,
     verify_perturbation_identities,
@@ -231,38 +230,6 @@ def test_edge_check_examples():
     bad = edge_check(np.array([0.0, 3.5]), epsilon=0.05)
     assert not bad.passed
     assert not bad.norm_bound_ok
-
-
-def test_large_deviation_zero_coefficients():
-    d = catalog_distribution("gaussian")
-    res = large_deviation_mc(d, 50, 200, "offdiagonal", seed=1, coefficients=np.zeros((50, 50)))
-    assert res.rate == 0.0
-
-
-def test_large_deviation_basis_vector_gaussian():
-    d = catalog_distribution("gaussian")
-    e1 = np.zeros(1000)
-    e1[0] = 1.0
-    res = large_deviation_mc(d, 1000, 10_000, "linear", seed=2, coefficients=e1)
-    assert res.rate < 1e-3
-    assert res.wilson_low <= res.rate <= res.wilson_high
-
-
-def test_large_deviation_bernoulli_quadratic():
-    d = catalog_distribution("bernoulli")
-    res = large_deviation_mc(d, 500, 2000, "offdiagonal", seed=3)
-    assert res.rate < 0.01
-
-
-def test_large_deviation_diagonal_case():
-    d = catalog_distribution("uniform")
-    res = large_deviation_mc(d, 400, 2000, "diagonal", seed=4)
-    assert res.rate < 0.01
-
-
-def test_large_deviation_unknown_case():
-    with pytest.raises(ConfigError):
-        large_deviation_mc(catalog_distribution("gaussian"), 10, 10, "cubic", seed=0)
 
 
 def test_z_moments_degenerate_profile_all_zero():

@@ -42,11 +42,13 @@ def config(experiment, **fields):
     return json.dumps({"experiment": experiment, "seed": 7, **fields})
 
 
-INFEASIBLE_LAW = {
-    "kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 0.5, "subexp_alpha": 1.0,
-}
+INLINE_LAW = {"kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 1.0, "subexp_alpha": 1.0}
+INFEASIBLE_LAW = {**INLINE_LAW, "m4": 0.5}
+NAN = float("nan")
 
-# bad configs, each with the key the error names; main runs each through its own subcommand
+# bad configs, each with the key the error names; main runs each through its own subcommand.
+# parse_config rejects each, except a threshold, which fails only where the
+# experiment body computes its value from n
 BAD_VALUES = [
     (config("rigidity", samples=2), "'n'"),
     (minimal_config(n="abc"), "n must be"),
@@ -59,19 +61,27 @@ BAD_VALUES = [
     (minimal_config(ensemble={"distribution": INFEASIBLE_LAW}), "ensemble.distribution: "),
     (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 0.5, "gamma": 0.1}}),
      "distribution_b: "),
-    (config("largedev", n=50, trials=10, distribution={"matched": {"m3": 0}}), "distribution: missing key 'm4'"),
+    (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0}}), "distribution_b: missing key 'm4'"),
     (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=4.99), "report_sweep_m4_max must be"),
     (config("locallaw-scan", sizes=[50], samples=1, variant="foo"), "variant must be"),
     (config("moments-match", grid_count=1, gammas=[1.0], mc_draws=0), "gammas must be"),
     (minimal_config(ensemble={"profile": "foo"}), "ensemble.profile must be"),
     (minimal_config(ensemble={"profile": "band", "band_shape": "foo"}), "ensemble.band_shape must be"),
-    (config("green-compare", n=40, samples=2, distribution_b="uniform", functional="abc"), "functional must be"),
-    (config("largedev", n=40, trials=10, distribution="bernoulli", coefficient_case="abc"), "coefficient_case must be"),
     (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=1), "mc_draws must be"),
     (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=-3), "mc_draws must be"),
     (config("dbm-gaps", n=40, samples=1, times=[0, float("nan")]), "times must be"),
     (config("edge", n=40, samples=1, epsilon=float("nan")), "epsilon must be"),
     (config("dbm-gaps", n=40, samples=1, times=[0, -1]), "times must be"),
+    (minimal_config(n=20, thresholds={"exponent": 1000}), "thresholds.exponent"),
+    (config("counting", n=20, samples=1, thresholds={"power": 1000}), "thresholds.power"),
+    (minimal_config(ensemble={"distribution": {"matched": {"m3": NAN, "m4": 3.0, "gamma": 0.1}}}),
+     "ensemble.distribution: "),
+    (config("correlations", n=50, samples=1, distribution_b={**INLINE_LAW, "atoms": [[NAN, 0.5], [-1.0, 0.5]]}),
+     "distribution_b: "),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "atoms": [[2.0, 0.5], [-2.0, 0.5]]}}),
+     "ensemble.distribution: "),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "kind": "gaussian-divisible", "gamma": 2}}),
+     "ensemble.distribution: "),
 ]
 
 
@@ -93,14 +103,17 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.thresholds["median_meta_m_err_max"] == 10.0
 
 
-def test_parse_rejects_typo_key():
+def test_parse_rejects_typo_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(minimal_config(samplse=3))
     assert "samplse" in str(err.value)
     for text, key in BAD_VALUES:
         with pytest.raises(ConfigError) as err:
-            parse_config(text)
+            cfg = parse_config(text)
+            if key.startswith("thresholds."):
+                run(cfg, str(tmp_path / "out"))
         assert key in str(err.value)
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_rejects_unknown_experiment_and_bad_json():
@@ -264,22 +277,19 @@ def test_main_exit_codes(tmp_path, capsys):
         assert not never.exists()
 
 
-INLINE_LAW = {"kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 1.0, "subexp_alpha": 1.0}
-
-
 def test_inline_law_needs_only_the_schema_fields(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(config("largedev", n=40, trials=50, distribution=INLINE_LAW))
-    assert main(["largedev", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 0
+    cfg_path.write_text(config("edge", n=40, samples=2, ensemble={"distribution": INLINE_LAW}))
+    assert main(["edge", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
 
 
 def test_python_m_runs_the_cli_without_warnings(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(config("largedev", n=40, trials=50, distribution="bernoulli"))
+    cfg_path.write_text(config("edge", n=40, samples=2, ensemble={"distribution": "bernoulli"}))
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(runner.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "rmt_locallaw", "largedev", "-c", str(cfg_path), "-o", str(tmp_path / "out")],
+        [sys.executable, "-m", "rmt_locallaw", "edge", "-c", str(cfg_path), "-o", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0 and proc.stderr == ""
@@ -290,14 +300,14 @@ def test_python_m_runner_runs_the_experiment(tmp_path):
     """The older spelling `python -m rmt_locallaw.runner` runs the same CLI: it
     never exits 0 without having written the output directory."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(config("largedev", n=40, trials=50, distribution="bernoulli"))
+    cfg_path.write_text(config("edge", n=40, samples=2, ensemble={"distribution": "bernoulli"}))
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(runner.__file__).resolve().parents[1])}
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "rmt_locallaw.runner", "largedev", "-c", str(cfg_path), "-o", str(out)],
+        [sys.executable, "-m", "rmt_locallaw.runner", "edge", "-c", str(cfg_path), "-o", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode != 0 or (out / "largedev.manifest.json").is_file()
+    assert proc.returncode != 0 or (out / "edge.manifest.json").is_file()
     assert proc.returncode == 0 and proc.stderr == ""
 
 
@@ -383,8 +393,6 @@ FUZZ_CONFIGS = {
     "edge": {"ensemble": _BAND, "n": 40, "samples": 2, "epsilon": 0.05},
     "dbm-gaps": {"ensemble": _BAND, "n": 40, "samples": 2, "times": [0.0, 0.5], "kappa_cut": 0.5},
     "moments-match": {"grid_count": 4, "gammas": [0.01, 0.1], "mc_draws": 2000, "report_sweep_m4_max": 10.0},
-    "green-compare": {"ensemble": _GAUSS, "distribution_b": "uniform", "n": 40, "samples": 2, "e_values": [0.0]},
-    "largedev": {"distribution": "bernoulli", "n": 40, "trials": 20, "coefficient_case": "offdiagonal"},
     "zmoments": {"ensemble": _GAUSS, "n": 40, "z": [0.0, 0.3], "samples": 2, "p_max": 2},
     "correlations": {"ensemble": _BAND, "distribution_b": "gaussian", "n": 40, "samples": 2, "kappa_cut": 0.5},
 }
@@ -393,7 +401,7 @@ _DROP = object()
 # drawn integers stay at most 40, and at most these for the keys that set the run's size
 _INT_MAX = {"samples": 3, "workers": 2}
 # Monte Carlo sizes: never dropped (their defaults take long) and never enlarged
-_MC_SIZES = {"mc_draws", "grid_count", "trials"}
+_MC_SIZES = {"mc_draws", "grid_count"}
 
 
 @pytest.mark.parametrize("tag", sorted(FUZZ_CONFIGS))

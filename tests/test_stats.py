@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import ConfigError, EmptyError
 from rmt_locallaw.linalg import eigh
-from rmt_locallaw.moments import MomentTarget, match_four_moments
 from rmt_locallaw.semicircle import classical_locations
-from rmt_locallaw.stats import EmpiricalCDF, UnfoldedSample, green_comparison, ks_distance, sine_kernel, unfold
+from rmt_locallaw.stats import EmpiricalCDF, UnfoldedSample, ks_distance, unfold
 
 
 def gue_spectra(n, count, seed=50):
@@ -20,11 +17,6 @@ def gue_spectra(n, count, seed=50):
 def gap_cdf(samples):
     """Pooled bulk-gap CDF, built as the dbm-gaps and correlations experiments build it."""
     return EmpiricalCDF(np.concatenate([s.bulk_gaps() for s in samples]))
-
-
-def test_unfold_single_point_with_external_dim():
-    u = unfold(np.array([0.0]), 0.5, matrix_dim=10)
-    assert u.points[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_unfold_classical_locations_integer_sequence():
@@ -92,56 +84,6 @@ def test_empirical_cdf_rejects_empty():
         EmpiricalCDF([])
 
 
-def test_sine_kernel_values():
-    assert sine_kernel(0.0) == 1.0
-    assert abs(sine_kernel(1.0)) < 1e-15
-    assert sine_kernel(0.5) == pytest.approx(2 / math.pi, abs=1e-15)
-    xs = np.array([0.0, 0.25, 2.0])
-    np.testing.assert_allclose(sine_kernel(xs), [1.0, np.sin(np.pi * 0.25) / (np.pi * 0.25), 0.0], atol=1e-15)
-
-
-def test_green_comparison_same_law_exactly_zero():
-    p = wigner_profile(60)
-    d = catalog_distribution("bernoulli")
-    rep = green_comparison(p, d, d, 2, [complex(0.0, 1.0 / 60)], n_samples=5, seed=55)
-    for row in rep.rows:
-        assert row["diff"] == 0.0
-
-
-def test_green_comparison_matched_law_within_errors():
-    n = 300
-    p = wigner_profile(n)
-    bern = catalog_distribution("bernoulli")
-    matched = match_four_moments(MomentTarget(0.0, 1.0), 0.01).to_distribution()
-    rep = green_comparison(
-        p, bern, matched, 2, [complex(0.0, 1.0 / n), complex(0.5, 1.0 / n)],
-        functional="trace", n_samples=120, seed=56,
-    )
-    assert rep.moment_mismatch["max"] == pytest.approx(0.0398, abs=1e-3)
-    assert rep.max_abs_zscore() < 3.0
-
-
-def test_green_comparison_reports_unmatched_moment_gap():
-    p = wigner_profile(40)
-    rep = green_comparison(
-        p, catalog_distribution("bernoulli"), catalog_distribution("uniform"), 2,
-        [complex(0.0, 1.0 / 40)], n_samples=4, seed=57,
-    )
-    assert rep.moment_mismatch["m4"] == pytest.approx(0.8, abs=1e-12)
-    assert rep.moment_mismatch["max"] == pytest.approx(0.8, abs=1e-12)
-
-
-def test_green_comparison_regime_checks():
-    p = wigner_profile(50)
-    d = catalog_distribution("gaussian")
-    with pytest.raises(ConfigError):
-        green_comparison(p, d, d, 2, [complex(0.0, 0.5)], n_samples=2, seed=0)  # eta too large
-    with pytest.raises(ConfigError):
-        green_comparison(p, d, d, 2, [complex(1.5, 1.0 / 50)], n_samples=2, seed=0)  # |E| outside bulk
-    with pytest.raises(ConfigError):
-        green_comparison(p, d, d, 2, [complex(0.0, 1.0 / 50)], functional="exp", n_samples=2, seed=0)
-
-
 def test_gap_cdf_gue_self_consistency():
     # two independent GUE pools must produce nearly identical gap CDFs
     cdfs = []
@@ -151,25 +93,3 @@ def test_gap_cdf_gue_self_consistency():
         assert cdf.n > 10_000
         cdfs.append(cdf)
     assert ks_distance(cdfs[0], cdfs[1]) < 0.02
-
-
-def test_empirical_cdf_csv_and_report_json(tmp_path):
-    cdf = EmpiricalCDF([0.5, 1.5, 1.5, 3.0])
-    out = tmp_path / "cdf.csv"
-    cdf.to_csv(out, schema="gap-cdf")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# rmt-locallaw v1 schema=gap-cdf"
-    assert lines[1] == "value,cdf"
-    assert len(lines) == 2 + 3  # three distinct jump values
-
-    p = wigner_profile(40)
-    rep = green_comparison(
-        p, catalog_distribution("bernoulli"), catalog_distribution("uniform"), 2,
-        [complex(0.0, 1.0 / 40)], n_samples=3, seed=59,
-    )
-    import json
-
-    doc = json.loads(rep.to_json())
-    assert doc["seed"] == 59
-    assert doc["moment_mismatch"]["m4"] == pytest.approx(0.8)
-    assert doc["rows"][0]["z"] == [0.0, 1.0 / 40]
