@@ -215,7 +215,6 @@ class EntryDistribution:
     atoms: tuple | None
     m3: float
     m4: float
-    subexp_alpha: float
     gamma: float = 0.0
     dist_id: str = ""
 
@@ -291,7 +290,6 @@ class EntryDistribution:
                 "atoms": [list(a) for a in self.atoms] if self.atoms else None,
                 "m3": self.m3,
                 "m4": self.m4,
-                "subexp_alpha": self.subexp_alpha,
                 "gamma": self.gamma,
                 "dist_id": self.dist_id,
             }
@@ -308,7 +306,6 @@ class EntryDistribution:
             atoms=atoms,
             m3=obj["m3"],
             m4=obj["m4"],
-            subexp_alpha=obj["subexp_alpha"],
             gamma=obj.get("gamma", 0.0),
             dist_id=obj.get("dist_id", ""),
         )
@@ -317,11 +314,11 @@ class EntryDistribution:
 def catalog_distribution(name: str) -> EntryDistribution:
     """Catalog of standardized laws: bernoulli, gaussian, uniform."""
     if name == "bernoulli":
-        return EntryDistribution(kind="bernoulli", atoms=((1.0, 0.5), (-1.0, 0.5)), m3=0.0, m4=1.0, subexp_alpha=1.0)
+        return EntryDistribution(kind="bernoulli", atoms=((1.0, 0.5), (-1.0, 0.5)), m3=0.0, m4=1.0)
     if name == "gaussian":
-        return EntryDistribution(kind="gaussian", atoms=None, m3=0.0, m4=3.0, subexp_alpha=1.0)
+        return EntryDistribution(kind="gaussian", atoms=None, m3=0.0, m4=3.0)
     if name == "uniform":
-        return EntryDistribution(kind="uniform", atoms=None, m3=0.0, m4=9.0 / 5.0, subexp_alpha=1.0)
+        return EntryDistribution(kind="uniform", atoms=None, m3=0.0, m4=9.0 / 5.0)
     raise NotFoundError(f"unknown distribution {name!r}")
 
 

@@ -10,7 +10,7 @@ moment table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .semicircle import (
 
 __all__ = [
     "ResolventDiagnostics",
-    "ScanResult",
     "diagnostics",
     "verify_perturbation_identities",
     "local_law_scan",
@@ -57,16 +56,13 @@ def x_control(n: int, m_param: float, z: complex, log_alpha: float = 1.0) -> flo
 class ResolventDiagnostics:
     """Per-(H, z) record of the self-consistent resolvent quantities."""
 
-    z: complex
     m_n: complex
     lambda_d: float
     lambda_o: float
-    a_terms: np.ndarray
     z_terms: np.ndarray
     upsilon_terms: np.ndarray
     upsilon_max: float
     mainseeq_residual: float
-    x_diag: float
 
 
 def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
@@ -103,7 +99,6 @@ def diagnostics(
     h: MatrixSample,
     p: VarianceProfile,
     z: complex,
-    log_alpha: float = 1.0,
     minor_route: bool = False,
 ) -> ResolventDiagnostics:
     """All self-consistent quantities of one sample at one spectral point.
@@ -154,16 +149,13 @@ def diagnostics(
     m_sc = msc_eval(z)
     lambda_d = float(np.max(np.abs(g - m_sc)))
     return ResolventDiagnostics(
-        z=z,
         m_n=m_n,
         lambda_d=lambda_d,
         lambda_o=lambda_o,
-        a_terms=a_terms,
         z_terms=z_terms,
         upsilon_terms=upsilon,
         upsilon_max=float(np.max(np.abs(upsilon))),
         mainseeq_residual=residual,
-        x_diag=x_control(n, p.m_param, z, log_alpha),
     )
 
 
@@ -220,38 +212,25 @@ def verify_perturbation_identities(h, z: complex, i: int, j: int, k: int) -> flo
     return float(worst)
 
 
+def _per_sample_diagnostics(p, d, beta, seed, n_samples, grid, reduce, workers):
+    """One pmap job per sample: sample si is drawn once, from derive_seed(seed,
+    si), and reduce(sample_seed, z, diagnostics) is taken at each z of the grid
+    in turn, so a job holds its H and one resolvent at a time. Returns, per
+    sample, the reduced values in grid order."""
+
+    def _job(si):
+        sample_seed = derive_seed(seed, si)
+        hs = sample_matrix(p, d, beta, sample_seed)
+        return [reduce(sample_seed, z, diagnostics(hs, p, z)) for z in grid]
+
+    return pmap(_job, list(range(n_samples)), workers)
+
+
 SCAN_COLUMNS = [
     "n", "E", "eta", "sample_seed",
     "m_err_norm", "lambda_d_norm", "lambda_o_norm",
     "upsilon_max", "mainseeq_residual",
 ]
-
-
-@dataclass
-class ScanResult:
-    """Raw per-(z, sample) scan rows plus quantile summaries.
-
-    rows carry both the raw deviations and the scaling-law normalized
-    statistics; quantiles are recomputed from the stored rows, never cached
-    separately.
-    """
-
-    grid: list
-    rows: list
-    quantiles: dict = field(default_factory=dict)
-
-    def recompute_quantiles(self) -> dict:
-        out = {}
-        for zi, z in enumerate(self.grid):
-            sub = [r for r in self.rows if r["z_index"] == zi]
-            if not sub:
-                continue
-            meta = {}
-            for key in ("meta_m_err", "sqrt_meta_lambda_d_over_theta", "sqrt_meta_lambda_o"):
-                vals = np.array([r[key] for r in sub])
-                meta[key] = {"median": float(np.median(vals)), "p90": float(np.quantile(vals, 0.9))}
-            out[zi] = meta
-        return out
 
 
 def local_law_scan(
@@ -262,10 +241,10 @@ def local_law_scan(
     z_grid,
     seed: int,
     variant: str = "D",
-    log_alpha: float = 1.0,
     workers: int | None = None,
-) -> ScanResult:
-    """Sample-resolved local-law statistics over a z grid.
+) -> list:
+    """Sample-resolved local-law statistics over a z grid, one row per (z,
+    sample) in grid-major order; each sample is drawn once for the whole grid.
 
     Every grid point must pass the requested domain variant before any
     sampling starts. Per (z, sample): the raw |m_N - m_sc|, Lambda_d and
@@ -282,23 +261,16 @@ def local_law_scan(
         if not in_domain(pt, ctrl, p.n, p.m_param, variant=variant):
             raise ConfigError(f"grid point z={z} fails the {variant} domain condition")
 
-    def _job(args):
-        zi, si = args
-        z = grid[zi]
-        sample_seed = derive_seed(seed, si)
-        hs = sample_matrix(p, d, beta, sample_seed)
-        diag = diagnostics(hs, p, z, log_alpha=log_alpha)
+    def _row(sample_seed, z, diag):
         kappa = abs(abs(z.real) - 2.0)
         ke = kappa + z.imag
         meta = p.m_param * z.imag
         m_err = abs(diag.m_n - msc_eval(z))
         theta = theta_eval(SpectralPoint(z.real, z.imag), ctrl)
         return {
-            "z_index": zi,
             "n": p.n,
             "E": z.real,
             "eta": z.imag,
-            "sample_index": si,
             "sample_seed": sample_seed,
             "m_err": m_err,
             "lambda_d": diag.lambda_d,
@@ -313,11 +285,8 @@ def local_law_scan(
             "mainseeq_residual": diag.mainseeq_residual,
         }
 
-    jobs = [(zi, si) for zi in range(len(grid)) for si in range(n_samples)]
-    rows = pmap(_job, jobs, workers)
-    result = ScanResult(grid=grid, rows=rows)
-    result.quantiles = result.recompute_quantiles()
-    return result
+    per_sample = _per_sample_diagnostics(p, d, beta, seed, n_samples, grid, _row, workers)
+    return [rows[zi] for zi in range(len(grid)) for rows in per_sample]
 
 
 def counting_gap(spectrum, a_exponent: int) -> float:
@@ -395,6 +364,9 @@ class ZMomentTable:
         raise KeyError(p)
 
 
+_BOOTSTRAP = 200  # resamples behind each stderr
+
+
 def z_average_moments(
     p: VarianceProfile,
     d: EntryDistribution,
@@ -405,29 +377,29 @@ def z_average_moments(
     seed: int,
     log_alpha: float = 1.0,
     workers: int | None = None,
-    bootstrap: int = 200,
     check_domain: bool = True,
 ) -> ZMomentTable:
     """Moment table of the averaged fluctuation N^-1 sum_i Z_i at one z.
 
     Requires z in the D* domain (check_domain=False skips the gate for
-    degenerate unit cases); even p up to p_max (<= 8). The bound column is
+    degenerate unit cases); even p up to p_max (<= 8); and n_samples >= 2,
+    which the bootstrap stderr needs. The bound column is
     ((ln N)^(3+2a) X(z)^2)^p with X the scan control size.
     """
     if p_max % 2 != 0 or p_max > 8 or p_max < 2:
         raise ConfigError(f"p_max must be even and in [2, 8], got {p_max}")
+    if n_samples < 2:
+        raise ConfigError(f"n_samples must be >= 2 for a bootstrap stderr, got {n_samples}")
     z = complex(z)
     ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=p.edge_exponent_a)
     pt = SpectralPoint(z.real, z.imag)
     if check_domain and not in_domain(pt, ctrl, p.n, max(p.m_param, 1.0), variant="D_star"):
         raise ConfigError(f"z={z} fails the D_star domain condition")
 
-    def _job(si):
-        hs = sample_matrix(p, d, beta, derive_seed(seed, si))
-        diag = diagnostics(hs, p, z, log_alpha=log_alpha)
-        return complex(np.mean(diag.z_terms))
-
-    sums = np.array(pmap(_job, list(range(n_samples)), workers))
+    per_sample = _per_sample_diagnostics(
+        p, d, beta, seed, n_samples, [z], lambda _seed, _z, diag: complex(np.mean(diag.z_terms)), workers
+    )
+    sums = np.array([values[0] for values in per_sample])
     x_val = x_control(p.n, p.m_param, z, log_alpha)
     bound_base = math.log(p.n) ** (3 + 2 * log_alpha) * x_val**2
     rng = generator(seed, "bootstrap")
@@ -435,11 +407,8 @@ def z_average_moments(
     for q in range(2, p_max + 1, 2):
         vals = np.abs(sums) ** q
         est = float(np.mean(vals))
-        if n_samples > 1 and bootstrap > 0:
-            idx = rng.integers(0, n_samples, size=(bootstrap, n_samples))
-            stderr = float(np.std(np.mean(vals[idx], axis=1), ddof=1))
-        else:
-            stderr = float("nan")
+        idx = rng.integers(0, n_samples, size=(_BOOTSTRAP, n_samples))
+        stderr = float(np.std(np.mean(vals[idx], axis=1), ddof=1))
         bound = bound_base**q
         rows.append({"p": q, "moment": est, "stderr": stderr, "bound": bound, "ratio": est / bound})
     return ZMomentTable(rows=rows, x_value=x_val)

@@ -73,7 +73,6 @@ def three_point_construct(t: MomentTarget) -> EntryDistribution:
         atoms=tuple(atoms),
         m3=t.m3,
         m4=t.m4,
-        subexp_alpha=1.0,
         dist_id=f"three-point({t.m3:g},{t.m4:g})",
     )
 
@@ -124,7 +123,6 @@ class MatchedLaw:
             atoms=self.xi_gamma.atoms,
             m3=self.achieved_m3,
             m4=self.achieved_m4,
-            subexp_alpha=1.0,
             gamma=self.gamma,
             dist_id=f"matched({self.target.m3:g},{self.target.m4:g};g={self.gamma:g})",
         )

@@ -22,7 +22,7 @@ import resource
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -63,6 +63,11 @@ def _is_number(v) -> bool:
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
+def _distinct(values: list) -> bool:
+    # a repeated size or flow time would compare a pool with itself
+    return len(set(values)) == len(values)
+
+
 def _one_of(*names) -> tuple:
     return (lambda v: isinstance(v, str) and v in names), "one of " + ", ".join(map(repr, names))
 
@@ -71,9 +76,10 @@ def _one_of(*names) -> tuple:
 _KINDS = {
     "int": (_is_int, "an integer"),
     "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "count2": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "draws": (lambda v: _is_int(v) and (v == 0 or v >= 2), "0 (no Monte Carlo) or an integer >= 2"),
-    "counts": (lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 1 for x in v),
-               "a non-empty list of integers >= 1"),
+    "counts": (lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 1 for x in v) and _distinct(v),
+               "a non-empty list of distinct integers >= 1"),
     "number": (_is_number, "a number"),
     "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
     "sweep_m4": (lambda v: _is_number(v) and v >= _SWEEP_M4_MIN,
@@ -81,8 +87,8 @@ _KINDS = {
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
     "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
-    "times": (lambda v: isinstance(v, list) and v and all(_is_number(x) and x >= 0 for x in v),
-              "a non-empty list of numbers >= 0"),
+    "times": (lambda v: isinstance(v, list) and v and all(_is_number(x) and x >= 0 for x in v) and _distinct(v),
+              "a non-empty list of distinct numbers >= 0"),
     "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
                "a non-empty list of numbers in (0, 1)"),
     "variant": _one_of(*DOMAIN_VARIANTS),
@@ -102,6 +108,12 @@ def _check(path: str, value, kind: str) -> None:
     ok, want = _KINDS[kind]
     if not ok(value):
         raise ConfigError(f"{path} must be {want}, got {value!r}")
+
+
+def _check_keys(obj: dict, known, where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} at {where}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +174,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown or missing experiment tag {exp!r}; known: {sorted(_REGISTRY)}")
     entry = _REGISTRY[exp]
     kinds = entry.kinds
-    for key in doc:
-        if key not in _COMMON_KEYS and key not in kinds:
-            raise ConfigError(f"unknown key {key!r} at config root (experiment {exp})")
+    _check_keys(doc, _COMMON_KEYS | kinds.keys(), f"config root (experiment {exp})")
     for key in ("seed", *entry.required):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r} (experiment {exp})")
@@ -176,9 +186,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 _resolve_distribution(doc[key], key)  # fail fast on laws that cannot be built
     if "ensemble" in doc:
         ens = doc["ensemble"]
+        _check_keys(ens, _ENSEMBLE_KINDS, "ensemble")
         for key, val in ens.items():
-            if key not in _ENSEMBLE_KINDS:
-                raise ConfigError(f"unknown key {key!r} at ensemble")
             _check(f"ensemble.{key}", val, _ENSEMBLE_KINDS[key])
         if ens.get("beta", 2) not in (1, 2):
             raise ConfigError("ensemble.beta must be 1 or 2")
@@ -189,9 +198,8 @@ def parse_config(text: str) -> ExperimentConfig:
     thresholds = dict(entry.thresholds)
     overrides = doc.get("thresholds") or {}
     _check("thresholds", overrides, "object")
+    _check_keys(overrides, thresholds, f"thresholds (experiment {exp})")
     for key, val in overrides.items():
-        if key not in thresholds:
-            raise ConfigError(f"unknown key {key!r} at thresholds (experiment {exp})")
         _check(f"thresholds.{key}", val, "number")
         thresholds[key] = val
     params = dict(entry.defaults)
@@ -202,10 +210,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=exp, seed=doc["seed"], workers=workers, params=params, thresholds=thresholds)
 
 
+_LAW_KEYS = {"schema", *(f.name for f in fields(EntryDistribution))}
+
+
 def _resolve_distribution(spec, path: str) -> EntryDistribution:
     """The entry law a config value names: a catalog name, {"matched": {m3,
-    m4, gamma}} or an inline law. A spec that cannot be built is a
-    ConfigError naming `path`."""
+    m4, gamma}} or an inline law. A spec that cannot be built or has an
+    unknown key is a ConfigError naming `path`."""
+    if isinstance(spec, dict):
+        matched = spec.get("matched")
+        _check_keys(spec, {"matched"} if "matched" in spec else _LAW_KEYS, path)
+        if isinstance(matched, dict):
+            _check_keys(matched, ("m3", "m4", "gamma"), f"{path}.matched")
     try:
         if isinstance(spec, str):
             return catalog_distribution(spec)
@@ -341,14 +357,14 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
         profile, dist, beta = _ensemble(cfg, n)
         eta = pr["eta_coeff"] * n ** pr["eta_power"]
         z = complex(pr["e"], eta)
-        scan = locallaw.local_law_scan(
+        rows = locallaw.local_law_scan(
             profile, dist, beta, pr["samples"], [z], derive_seed(cfg.seed, "scan", n),
-            variant=pr["variant"], log_alpha=pr["log_alpha"], workers=cfg.workers,
+            variant=pr["variant"], workers=cfg.workers,
         )
-        all_rows.extend(scan.rows)
-        medians_meta[n] = float(np.median([r["meta_m_err"] for r in scan.rows]))
+        all_rows.extend(rows)
+        medians_meta[n] = float(np.median([r["meta_m_err"] for r in rows]))
         medians_ld[n] = float(
-            np.median([math.sqrt(profile.m_param * r["eta"]) * r["lambda_d"] for r in scan.rows])
+            np.median([math.sqrt(profile.m_param * r["eta"]) * r["lambda_d"] for r in rows])
         )
     cols = locallaw.SCAN_COLUMNS
     files = {"locallaw-scan.csv": csv_text("locallaw-scan", cols, [[r[c] for c in cols] for r in all_rows])}
@@ -370,8 +386,11 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
     return files, statistics, acceptance, headline
 
 
-def _per_sample_eigenvalues(cfg: ExperimentConfig, n: int, tag: str):
+def _per_sample_eigenvalues(cfg: ExperimentConfig, n: int, tag: str, law: EntryDistribution | None = None):
+    """Eigenvalues of each sample, drawn from derive_seed(cfg.seed, tag, si)
+    with the ensemble's law, or with `law` when one is given."""
     profile, dist, beta = _ensemble(cfg, n)
+    dist = law or dist
 
     def _job(si):
         sm = sample_matrix(profile, dist, beta, derive_seed(cfg.seed, tag, si))
@@ -620,19 +639,11 @@ def _exp_zmoments(cfg: ExperimentConfig):
 def _exp_correlations(cfg: ExperimentConfig):
     pr = cfg.params
     n, kcut = pr["n"], pr["kappa_cut"]
-    profile, dist_a, beta = _ensemble(cfg, n)
     dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
-
-    def _job(args):
-        tag, dist, si = args
-        sm = sample_matrix(profile, dist, beta, derive_seed(cfg.seed, tag, si))
-        lam = eigh(sm, compute_vectors=False).eigenvalues
-        return stats.unfold(lam, kcut).bulk_gaps()
-
-    jobs = [("a", dist_a, si) for si in range(pr["samples"])] + [("b", dist_b, si) for si in range(pr["samples"])]
-    gaps = pmap(_job, jobs, cfg.workers)
-    pool_a = np.concatenate(gaps[: pr["samples"]])
-    pool_b = np.concatenate(gaps[pr["samples"]:])
+    pool_a, pool_b = (
+        np.concatenate([stats.unfold(lam, kcut).bulk_gaps() for lam in _per_sample_eigenvalues(cfg, n, tag, law)])
+        for tag, law in (("a", None), ("b", dist_b))
+    )
     ks = stats.ks_distance(stats.EmpiricalCDF(pool_a), stats.EmpiricalCDF(pool_b))
     files = {
         "correlations-gaps-a.csv": csv_text("gap-pool-a", ["gap"], [[float(g)] for g in np.sort(pool_a)]),
@@ -671,7 +682,7 @@ _REGISTRY = {
         checks={"grid_count": "count", "gammas": "gammas", "mc_draws": "draws", "report_sweep_m4_max": "sweep_m4"},
     ),
     "zmoments": _Experiment(
-        _exp_zmoments, {"n": "count", "z": "point", "samples": "count"}, {"p_max": 2, "log_alpha": 1.0},
+        _exp_zmoments, {"n": "count", "z": "point", "samples": "count2"}, {"p_max": 2, "log_alpha": 1.0},
         {"ratio_max": 1.0},
     ),
     "correlations": _Experiment(

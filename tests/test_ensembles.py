@@ -253,7 +253,7 @@ _ATOM_LAWS = [
     three_point_construct(MomentTarget(0.5, 3.0)),
     match_four_moments(MomentTarget(-0.7, 4.0), 0.01).to_distribution(),
     EntryDistribution(kind="discrete-atoms", atoms=((-0.0, 0.5), (math.sqrt(2.0), 0.25), (-math.sqrt(2.0), 0.25)),
-                      m3=0.0, m4=2.0, subexp_alpha=1.0),
+                      m3=0.0, m4=2.0),
 ]
 
 

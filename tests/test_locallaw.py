@@ -20,6 +20,7 @@ from rmt_locallaw.locallaw import (
     z_average_moments,
 )
 from rmt_locallaw.parallel import blas_threads
+from rmt_locallaw.seeding import derive_seed
 from rmt_locallaw.semicircle import classical_locations, msc_eval
 
 
@@ -268,14 +269,16 @@ def test_z_moments_domain_gate():
         z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.001j, 4, 2, seed=8)
     with pytest.raises(ConfigError):
         z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 3, seed=8)
+    with pytest.raises(ConfigError, match="n_samples"):  # no bootstrap stderr from one sample
+        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 1, 2, seed=8)
 
 
 def test_local_law_scan_single_entry():
     p = wigner_profile(1)
     d = catalog_distribution("gaussian")
     z = 2.0j
-    res = local_law_scan(p, d, 2, 3, [z], seed=9)
-    for row in res.rows:
+    rows = local_law_scan(p, d, 2, 3, [z], seed=9)
+    for row in rows:
         h = sample_matrix(p, d, 2, row["sample_seed"]).entries[0, 0]
         want = abs(1.0 / (h - z) - msc_eval(z))
         assert row["m_err"] == pytest.approx(want, abs=1e-13)
@@ -293,9 +296,11 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_locallaw.json"
 
 
 def golden_scan_text() -> str:
-    """The golden file's scan, recomputed and serialized as the file is."""
+    """The golden file's scan, recomputed and serialized as the file is: the
+    median and p90 over the samples of each normalized statistic, at the
+    file's one grid point (key "0")."""
     meta = json.loads(GOLDEN.read_text())
-    scan = local_law_scan(
+    rows = local_law_scan(
         wigner_profile(meta["n"]),
         catalog_distribution("gaussian"),
         2,
@@ -303,9 +308,13 @@ def golden_scan_text() -> str:
         [complex(meta["E"], meta["eta"])],
         seed=meta["seed"],
     )
+    quantiles = {}
+    for key in ("meta_m_err", "sqrt_meta_lambda_d_over_theta", "sqrt_meta_lambda_o"):
+        vals = np.array([r[key] for r in rows])
+        quantiles[key] = {"median": float(np.median(vals)), "p90": float(np.quantile(vals, 0.9))}
     doc = {
         "seed": meta["seed"], "n": meta["n"], "E": meta["E"], "eta": meta["eta"],
-        "samples": meta["samples"], "quantiles": scan.quantiles,
+        "samples": meta["samples"], "quantiles": {"0": quantiles},
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -316,9 +325,24 @@ def test_local_law_scan_golden_baseline():
     assert golden_scan_text() == GOLDEN.read_text()
 
 
-def test_local_law_scan_quantiles_recomputable():
+def test_local_law_scan_draws_each_sample_once_for_its_grid(monkeypatch):
     p = wigner_profile(60)
-    res = local_law_scan(p, catalog_distribution("bernoulli"), 2, 6, [0.5 + 0.4j, 1j], seed=11)
-    assert res.quantiles == res.recompute_quantiles()
-    assert len(res.rows) == 12
-    assert all(r["mainseeq_residual"] < 1e-8 for r in res.rows)
+    law = catalog_distribution("bernoulli")
+    grid = [0.5 + 0.4j, 1j, -0.8 + 0.3j, 1.2 + 0.5j]
+    seeds = []
+
+    def counted(*args, **kwargs):
+        seeds.append(args[3])
+        return sample_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(locallaw, "sample_matrix", counted)
+    rows = local_law_scan(p, law, 2, 6, grid, seed=11)
+    assert sorted(seeds) == sorted(derive_seed(11, si) for si in range(6))
+    monkeypatch.undo()
+    # grid-major, and each row as a scan of its z alone gives it
+    assert rows == [row for z in grid for row in local_law_scan(p, law, 2, 6, [z], seed=11)]
+    assert all(r["mainseeq_residual"] < 1e-8 for r in rows)
+
+
+if __name__ == "__main__":  # regenerate the golden scan: PYTHONPATH=src python tests/test_locallaw.py
+    GOLDEN.write_text(golden_scan_text())

@@ -42,7 +42,7 @@ def config(experiment, **fields):
     return json.dumps({"experiment": experiment, "seed": 7, **fields})
 
 
-INLINE_LAW = {"kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 1.0, "subexp_alpha": 1.0}
+INLINE_LAW = {"kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 1.0}
 INFEASIBLE_LAW = {**INLINE_LAW, "m4": 0.5}
 NAN = float("nan")
 
@@ -82,6 +82,16 @@ BAD_VALUES = [
      "ensemble.distribution: "),
     (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "kind": "gaussian-divisible", "gamma": 2}}),
      "ensemble.distribution: "),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "bogus_key": 5}}),
+     "unknown key 'bogus_key' at ensemble.distribution"),
+    (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 3, "gamma": 0.1, "m5": 1}}),
+     "unknown key 'm5' at distribution_b.matched"),
+    (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 3, "gamma": 0.1}, "kind": "x"}),
+     "unknown key 'kind' at distribution_b"),
+    (config("zmoments", n=50, z=[0.5, 0.1], samples=1), "samples must be an integer >= 2"),
+    (config("locallaw-scan", sizes=[60, 60], samples=1), "sizes must be"),
+    (config("dbm-gaps", n=40, samples=1, times=[0.5, 0.5]), "times must be"),
+    (config("dbm-gaps", n=40, samples=1, times=[0, 0.0]), "times must be"),
 ]
 
 
