@@ -8,29 +8,17 @@ started at h_0, whose eigenvalues follow Dyson Brownian motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .ensembles import MatrixSample, catalog_distribution
 from .errors import ConfigError
 
-__all__ = ["FlowState", "flow_interpolate"]
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Matrix flow snapshot: time, endpoints and the interpolated sample."""
-
-    t: float
-    h0: MatrixSample
-    v: MatrixSample
-    ht: MatrixSample
-
+__all__ = ["flow_interpolate"]
 
 _GAUSSIAN_ID = catalog_distribution("gaussian").dist_id
 
 
-def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float) -> FlowState:
-    """Exact OU interpolation h_t = e^(-t/2) h0 + (1 - e^(-t))^(1/2) v."""
+def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float) -> MatrixSample:
+    """The sample h_t = e^(-t/2) h0 + (1 - e^(-t))^(1/2) v of the exact OU flow."""
     if t < 0:
         raise ConfigError(f"flow time must be >= 0, got {t}")
     if h0.profile_id != v.profile_id or h0.symmetry_class != v.symmetry_class:
@@ -41,11 +29,10 @@ def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float) -> FlowState:
     cg = math.sqrt(-math.expm1(-t))
     entries = c0 * h0.entries + cg * v.entries
     entries.setflags(write=False)
-    ht = MatrixSample(
+    return MatrixSample(
         symmetry_class=h0.symmetry_class,
         entries=entries,
         profile_id=h0.profile_id,
         dist_id=f"flow(t={t:g};{h0.dist_id})",
         seed=h0.seed,
     )
-    return FlowState(t=t, h0=h0, v=v, ht=ht)

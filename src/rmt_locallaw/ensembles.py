@@ -27,10 +27,8 @@ __all__ = [
     "VarianceProfile",
     "EntryDistribution",
     "MatrixSample",
-    "ProfileReport",
     "wigner_profile",
     "band_profile",
-    "validate_profile",
     "catalog_distribution",
     "sample_matrix",
 ]
@@ -68,7 +66,14 @@ class VarianceProfile:
         cls, variances, profile_id: str = "custom", validate: bool = True, spectrum=None
     ) -> "VarianceProfile":
         """Profile of a variance grid. `spectrum` is Spec(Sigma) when the caller
-        knows it in closed form; otherwise a dense eigvalsh computes it."""
+        knows it in closed form; otherwise a dense eigvalsh computes it.
+
+        With `validate`, a structural defect (asymmetry, column sums,
+        negativity, a spectrum outside [-1, 1] or without its eigenvalue 1)
+        is a ValueError listing every defect found. The spectral-gap
+        conditions are not checked: a degenerate but stochastic profile is
+        still samplable, and delta_plus, delta_minus and edge_exponent_a
+        report it."""
         var = np.array(variances, dtype=float)
         if var.ndim != 2 or var.shape[0] != var.shape[1] or var.shape[0] < 1:
             raise ValueError(f"variances must be a square grid, got shape {var.shape}")
@@ -93,9 +98,21 @@ class VarianceProfile:
             profile_id=profile_id,
         )
         if validate:
-            report = validate_profile(prof)
-            if report.violations:
-                raise ValueError("invalid variance profile: " + "; ".join(report.violations))
+            violations = []
+            sym = float(np.max(np.abs(var - var.T)))
+            if sym > _COLSUM_TOL:
+                violations.append(f"variances not symmetric (residual {sym:.3g})")
+            colres = prof.column_sum_residual()
+            if colres > _COLSUM_TOL:
+                violations.append(f"column sums deviate from 1 by {colres:.3g}")
+            if np.any(var < 0):
+                violations.append("negative variances")
+            if abs(spectrum[-1] - 1.0) > _SPECTRUM_TOL:
+                violations.append(f"largest Sigma eigenvalue {spectrum[-1]!r} != 1")
+            if spectrum[0] < -1.0 - _SPECTRUM_TOL or spectrum[-1] > 1.0 + _SPECTRUM_TOL:
+                violations.append("Sigma spectrum escapes [-1, 1]")
+            if violations:
+                raise ValueError("invalid variance profile: " + "; ".join(violations))
         return prof
 
     def column_sum_residual(self) -> float:
@@ -106,50 +123,6 @@ class VarianceProfile:
         """Edge exponent A of the control function: 1 under condition (VV),
         every variance comparable to 1/N, else 2."""
         return 1 if self.c_inf > 0 and np.isfinite(self.c_sup) else 2
-
-
-@dataclass
-class ProfileReport:
-    """validate_profile output: residuals, gap estimates, (VV) flag, edge class.
-
-    violations lists structural defects (asymmetry, column sums, negativity,
-    spectrum range); the spectral-gap conditions are reported as flags since
-    degenerate-but-stochastic profiles are still samplable.
-    """
-
-    colsum_residual: float
-    delta_plus: float
-    delta_minus: float
-    vv_holds: bool
-    edge_exponent_a: int
-    violations: list
-
-
-def validate_profile(p: VarianceProfile) -> ProfileReport:
-    """Report-only check of the profile conditions; never raises."""
-    var = p.variances
-    violations = []
-    sym = float(np.max(np.abs(var - var.T))) if p.n else 0.0
-    if sym > _COLSUM_TOL:
-        violations.append(f"variances not symmetric (residual {sym:.3g})")
-    colres = p.column_sum_residual()
-    if colres > _COLSUM_TOL:
-        violations.append(f"column sums deviate from 1 by {colres:.3g}")
-    if np.any(var < 0):
-        violations.append("negative variances")
-    spec = p.sigma_spectrum
-    if abs(spec[-1] - 1.0) > _SPECTRUM_TOL:
-        violations.append(f"largest Sigma eigenvalue {spec[-1]!r} != 1")
-    if spec[0] < -1.0 - _SPECTRUM_TOL or spec[-1] > 1.0 + _SPECTRUM_TOL:
-        violations.append("Sigma spectrum escapes [-1, 1]")
-    return ProfileReport(
-        colsum_residual=colres,
-        delta_plus=p.delta_plus,
-        delta_minus=p.delta_minus,
-        vv_holds=p.edge_exponent_a == 1,
-        edge_exponent_a=p.edge_exponent_a,
-        violations=violations,
-    )
 
 
 def wigner_profile(n: int) -> VarianceProfile:
@@ -164,12 +137,12 @@ def wigner_profile(n: int) -> VarianceProfile:
     return VarianceProfile.from_variances(np.full((n, n), 1.0 / n), profile_id=f"wigner-{n}", spectrum=spectrum)
 
 
-def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int = 50) -> VarianceProfile:
+def band_profile(n: int, w: int, shape: Callable[[float], float]) -> VarianceProfile:
     """Band profile from a symmetric nonnegative shape function.
 
     Raw weights shape(d/w)/w at circular distance d = min(i-j mod n, j-i mod n),
     then columns are rescaled to sum exactly to one and re-symmetrized
-    (Sinkhorn-style, <= max_iter rounds, tolerance 1e-12). The grid is a
+    (Sinkhorn-style, at most 50 rounds, tolerance 1e-12). The grid is a
     symmetric circulant, so Spec(Sigma) is the real part of the FFT of its
     first row.
     """
@@ -185,7 +158,7 @@ def band_profile(n: int, w: int, shape: Callable[[float], float], max_iter: int 
     d = np.abs(idx[:, None] - idx[None, :])
     d = np.minimum(d, n - d)
     var = weights[d]
-    for _ in range(max_iter):
+    for _ in range(50):
         colsums = var.sum(axis=0)
         if np.any(colsums <= 0):
             raise DegenerateProfileError("a column of the band profile has zero mass")

@@ -37,11 +37,10 @@ def _check_hermitian(a: np.ndarray) -> None:
 
 @dataclass
 class Spectrum:
-    """Eigenvalues in ascending order, optional eigenvector columns, residual."""
+    """Eigenvalues in ascending order and, optionally, eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    residual: float | None = None
 
 
 def eigenvalues(spectrum) -> np.ndarray:
@@ -74,8 +73,7 @@ def eigh(h, compute_vectors: bool = True) -> Spectrum:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(str(exc)) from exc
-    resid = float(np.max(np.linalg.norm(a @ u - u * w[None, :], axis=0))) if a.size else 0.0
-    return Spectrum(eigenvalues=w, eigenvectors=u, residual=resid)
+    return Spectrum(eigenvalues=w, eigenvectors=u)
 
 
 def surviving_indices(n: int, t) -> np.ndarray:

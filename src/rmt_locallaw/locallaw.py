@@ -19,15 +19,7 @@ from .errors import ConfigError
 from .linalg import eigenvalues, resolvent, surviving_indices
 from .parallel import pmap
 from .seeding import derive_seed, generator
-from .semicircle import (
-    ControlFunction,
-    SpectralPoint,
-    classical_locations,
-    in_domain,
-    msc_eval,
-    nsc_eval,
-    theta_eval,
-)
+from .semicircle import classical_locations, in_domain, msc_eval, nsc_eval, theta_eval
 
 __all__ = [
     "ResolventDiagnostics",
@@ -35,17 +27,15 @@ __all__ = [
     "verify_perturbation_identities",
     "local_law_scan",
     "counting_gap",
-    "RigidityResult",
     "rigidity_stat",
     "EdgeReport",
     "edge_check",
-    "ZMomentTable",
     "z_average_moments",
     "x_control",
 ]
 
 
-def x_control(n: int, m_param: float, z: complex, log_alpha: float = 1.0) -> float:
+def x_control(n: int, m_param: float, z: complex, log_alpha: float) -> float:
     """Scan control size X(z) = (ln N)^(10+2a) (kappa+eta)^(1/4) / sqrt(M eta)."""
     kappa = abs(abs(z.real) - 2.0)
     eta = z.imag
@@ -254,11 +244,9 @@ def local_law_scan(
     sqrt(M*eta)*(kappa+eta)^(-1/4) * Lambda_o.
     """
     a_exp = p.edge_exponent_a
-    ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=a_exp)
     grid = [complex(z) for z in z_grid]
     for z in grid:
-        pt = SpectralPoint(z.real, z.imag)
-        if not in_domain(pt, ctrl, p.n, p.m_param, variant=variant):
+        if not in_domain(z, p.n, p.m_param, p.delta_plus, a_exp, variant):
             raise ConfigError(f"grid point z={z} fails the {variant} domain condition")
 
     def _row(sample_seed, z, diag):
@@ -266,7 +254,7 @@ def local_law_scan(
         ke = kappa + z.imag
         meta = p.m_param * z.imag
         m_err = abs(diag.m_n - msc_eval(z))
-        theta = theta_eval(SpectralPoint(z.real, z.imag), ctrl)
+        theta = theta_eval(z, p.delta_plus)
         return {
             "n": p.n,
             "E": z.real,
@@ -310,18 +298,11 @@ def counting_gap(spectrum, a_exponent: int) -> float:
     return best
 
 
-@dataclass
-class RigidityResult:
-    total: float
-    deviations: np.ndarray
-
-
-def rigidity_stat(spectrum) -> RigidityResult:
+def rigidity_stat(spectrum) -> float:
     """Sum of squares sum_j (lambda_j - gamma_j)^2 against classical locations."""
     lam = eigenvalues(spectrum)
-    gamma = classical_locations(lam.size)
-    dev = lam - gamma
-    return RigidityResult(total=float(np.sum(dev * dev)), deviations=dev)
+    dev = lam - classical_locations(lam.size)
+    return float(np.sum(dev * dev))
 
 
 @dataclass
@@ -329,7 +310,6 @@ class EdgeReport:
     passed: bool
     lower_margin: float
     upper_margin: float
-    norm_bound_ok: bool
     threshold: float
 
 
@@ -340,28 +320,9 @@ def edge_check(spectrum, epsilon: float) -> EdgeReport:
     delta = float(n ** (-1.0 / 6.0 + epsilon))
     lower = float(lam[0] + 2.0 + delta)
     upper = float(2.0 + delta - lam[-1])
-    norm_ok = bool(np.max(np.abs(lam)) <= 3.0)
     return EdgeReport(
-        passed=bool(lower >= 0 and upper >= 0),
-        lower_margin=lower,
-        upper_margin=upper,
-        norm_bound_ok=norm_ok,
-        threshold=2.0 + delta,
+        passed=bool(lower >= 0 and upper >= 0), lower_margin=lower, upper_margin=upper, threshold=2.0 + delta
     )
-
-
-@dataclass
-class ZMomentTable:
-    """Empirical moments of N^-1 sum_i Z_i with bootstrap errors and bounds."""
-
-    rows: list
-    x_value: float
-
-    def ratio(self, p: int) -> float:
-        for r in self.rows:
-            if r["p"] == p:
-                return r["ratio"]
-        raise KeyError(p)
 
 
 _BOOTSTRAP = 200  # resamples behind each stderr
@@ -377,38 +338,41 @@ def z_average_moments(
     seed: int,
     log_alpha: float = 1.0,
     workers: int | None = None,
-    check_domain: bool = True,
-) -> ZMomentTable:
-    """Moment table of the averaged fluctuation N^-1 sum_i Z_i at one z.
+) -> list:
+    """Moment rows {p, moment, stderr, bound, ratio} of the averaged
+    fluctuation N^-1 sum_i Z_i at one z, for even p up to p_max, ascending.
 
-    Requires z in the D* domain (check_domain=False skips the gate for
-    degenerate unit cases); even p up to p_max (<= 8); and n_samples >= 2,
-    which the bootstrap stderr needs. The bound column is
-    ((ln N)^(3+2a) X(z)^2)^p with X the scan control size.
+    Requires z in the D* domain; even p_max in [2, 8]; n_samples >= 2, which
+    the bootstrap stderr needs; and a bound ((ln N)^(3+2a) X(z)^2)^p, X the
+    scan control size, that is finite and nonzero for every p. All are
+    checked before the first sample is drawn.
     """
     if p_max % 2 != 0 or p_max > 8 or p_max < 2:
         raise ConfigError(f"p_max must be even and in [2, 8], got {p_max}")
     if n_samples < 2:
         raise ConfigError(f"n_samples must be >= 2 for a bootstrap stderr, got {n_samples}")
     z = complex(z)
-    ctrl = ControlFunction(delta_plus=max(p.delta_plus, 1e-12), edge_exponent_a=p.edge_exponent_a)
-    pt = SpectralPoint(z.real, z.imag)
-    if check_domain and not in_domain(pt, ctrl, p.n, max(p.m_param, 1.0), variant="D_star"):
+    if not in_domain(z, p.n, max(p.m_param, 1.0), p.delta_plus, p.edge_exponent_a, "D_star"):
         raise ConfigError(f"z={z} fails the D_star domain condition")
+    powers = range(2, p_max + 1, 2)
+    try:
+        bound_base = math.log(p.n) ** (3 + 2 * log_alpha) * x_control(p.n, p.m_param, z, log_alpha) ** 2
+        bounds = [bound_base**q for q in powers]
+    except OverflowError:
+        bounds = [math.inf]
+    if not all(0.0 < b < math.inf for b in bounds):
+        raise ConfigError(f"log_alpha = {log_alpha!r} makes the bound overflow or vanish at n = {p.n}")
 
     per_sample = _per_sample_diagnostics(
         p, d, beta, seed, n_samples, [z], lambda _seed, _z, diag: complex(np.mean(diag.z_terms)), workers
     )
     sums = np.array([values[0] for values in per_sample])
-    x_val = x_control(p.n, p.m_param, z, log_alpha)
-    bound_base = math.log(p.n) ** (3 + 2 * log_alpha) * x_val**2
     rng = generator(seed, "bootstrap")
     rows = []
-    for q in range(2, p_max + 1, 2):
+    for q, bound in zip(powers, bounds):
         vals = np.abs(sums) ** q
         est = float(np.mean(vals))
         idx = rng.integers(0, n_samples, size=(_BOOTSTRAP, n_samples))
         stderr = float(np.std(np.mean(vals[idx], axis=1), ddof=1))
-        bound = bound_base**q
         rows.append({"p": q, "moment": est, "stderr": stderr, "bound": bound, "ratio": est / bound})
-    return ZMomentTable(rows=rows, x_value=x_val)
+    return rows

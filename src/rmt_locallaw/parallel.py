@@ -64,14 +64,15 @@ def _load(path: str) -> BlasLibrary | None:
     return BlasLibrary(os.path.basename(path), config().decode().strip(), getter, setter, lib)
 
 
-_libraries: list | None = None
+_library: BlasLibrary | None = None
 
 
-def blas_libraries() -> list:
-    """The OpenBLAS copies mapped into this process that carry numpy's entry
-    points, found on the first call; empty without /proc/self/maps."""
-    global _libraries
-    if _libraries is None:
+def numpy_openblas() -> BlasLibrary:
+    """The OpenBLAS numpy ships (numpy >= 2.0 wheels): the first library mapped
+    into this process that exports its entry points, found on the first call.
+    An RMTError names the missing symbol when none does."""
+    global _library
+    if _library is None:
         paths = []
         try:
             with open("/proc/self/maps") as fh:
@@ -81,42 +82,33 @@ def blas_libraries() -> list:
                         paths.append(path)
         except OSError:
             pass
-        _libraries = [lib for lib in map(_load, paths) if lib is not None]
-    return _libraries
-
-
-def numpy_openblas() -> BlasLibrary:
-    """The OpenBLAS numpy ships (numpy >= 2.0 wheels); an RMTError naming the
-    missing symbol when no mapped library exports it."""
-    libs = blas_libraries()
-    if not libs:
-        raise RMTError(f"numpy's OpenBLAS is not loaded: no library in this process exports {_SYMBOLS[0]}")
-    return libs[0]
+        _library = next((lib for lib in map(_load, paths) if lib is not None), None)
+        if _library is None:
+            raise RMTError(f"numpy's OpenBLAS is not loaded: no library in this process exports {_SYMBOLS[0]}")
+    return _library
 
 
 # OpenBLAS keeps one thread count per process, so pins from several threads
-# share it: the first entry saves the counts, the last exit restores them.
+# share it: the first entry saves the count, the last exit restores it.
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_threads = 0
-_pin_saved: list = []
+_pin_saved = 0
 
 
 @contextmanager
 def blas_threads(k: int):
-    """Run the block with numpy's OpenBLAS at k threads; the earlier
-    counts come back on exit, also when the block raises. Blocks may nest or
+    """Run the block with numpy's OpenBLAS at k threads; the earlier count
+    comes back on exit, also when the block raises. Blocks may nest or
     overlap across threads, all with the same k."""
     global _pin_depth, _pin_threads, _pin_saved
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"BLAS thread count must be an integer >= 1, got {k!r}")
-    numpy_openblas()  # raises when there is nothing to pin
-    libs = blas_libraries()
+    lib = numpy_openblas()  # raises when there is nothing to pin
     with _pin_lock:
         if _pin_depth == 0:
-            _pin_saved = [lib.get_threads() for lib in libs]
-            for lib in libs:
-                lib.set_threads(k)
+            _pin_saved = lib.get_threads()
+            lib.set_threads(k)
             _pin_threads = k
         elif k != _pin_threads:
             raise ValueError(f"BLAS is pinned to {_pin_threads} threads; cannot pin to {k} inside")
@@ -127,8 +119,7 @@ def blas_threads(k: int):
         with _pin_lock:
             _pin_depth -= 1
             if _pin_depth == 0:
-                for lib, count in zip(libs, _pin_saved):
-                    lib.set_threads(count)
+                lib.set_threads(_pin_saved)
 
 
 def pmap(fn, jobs, workers: int | None = None) -> list:

@@ -8,12 +8,13 @@ files are written to a temporary name and renamed atomically. The manifest
 also records the run's environment, which no digested file contains.
 
 Exit codes: 0 all acceptance clauses pass, 1 acceptance failure,
-2 config error, 3 numerical error.
+2 config error or an output path that cannot be written, 3 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from .csvio import csv_text
 from .ensembles import DRAW_CHUNK, EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError
 from .linalg import eigh
-from .parallel import BLAS_THREADS, affinity_cores, blas_libraries, default_workers, pmap
+from .parallel import BLAS_THREADS, affinity_cores, default_workers, numpy_openblas, pmap
 from .seeding import derive_seed, generator
 from .semicircle import DOMAIN_VARIANTS
 
@@ -91,6 +92,7 @@ _KINDS = {
               "a non-empty list of distinct numbers >= 0"),
     "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
                "a non-empty list of numbers in (0, 1)"),
+    "kappa_cut": (lambda v: _is_number(v) and 0 < v < 2, "a number in (0, 2)"),
     "variant": _one_of(*DOMAIN_VARIANTS),
     "profile": _one_of("wigner", "band"),
     "band_shape": _one_of(*_SHAPES),
@@ -323,10 +325,15 @@ def _read_text(path: str) -> str:
 
 
 def _atomic_write(path: str, data: str | bytes) -> None:
+    """Write to a temporary name, then rename. mkstemp creates the file with
+    mode 0600; it gets the mode open() would give, 0666 less the umask."""
     mode = "wb" if isinstance(data, bytes) else "w"
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rmt-")
     try:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -350,13 +357,14 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
     pr = cfg.params
     thr = cfg.thresholds
     sizes = sorted(pr["sizes"])
+    # every eta before the first sample, so that one that overflows costs no run
+    etas = {n: _power(n, pr["eta_power"], "eta_power", pr["eta_coeff"]) for n in sizes}
     all_rows = []
     medians_meta = {}
     medians_ld = {}
     for n in sizes:
         profile, dist, beta = _ensemble(cfg, n)
-        eta = pr["eta_coeff"] * n ** pr["eta_power"]
-        z = complex(pr["e"], eta)
+        z = complex(pr["e"], etas[n])
         rows = locallaw.local_law_scan(
             profile, dist, beta, pr["samples"], [z], derive_seed(cfg.seed, "scan", n),
             variant=pr["variant"], workers=cfg.workers,
@@ -399,23 +407,23 @@ def _per_sample_eigenvalues(cfg: ExperimentConfig, n: int, tag: str, law: EntryD
     return pmap(_job, list(range(cfg.params["samples"])), cfg.workers)
 
 
-def _power_threshold(n: int, thr: dict, key: str, coeff: float = 1.0) -> float:
-    """coeff * n ** thr[key], in floating point: Python's exact integer power
+def _power(n: int, exponent: float, key: str, coeff: float = 1.0) -> float:
+    """coeff * n ** exponent, in floating point: Python's exact integer power
     takes superlinear time on a huge integer exponent. A value that overflows
-    is a ConfigError naming thresholds.<key>."""
+    is a ConfigError naming `key`, the config key the exponent comes from."""
     try:
-        value = coeff * float(n) ** thr[key]
+        value = coeff * float(n) ** exponent
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"thresholds.{key} = {thr[key]!r} makes the threshold overflow at n = {n}")
+        raise ConfigError(f"{key} makes n ** {exponent!r} overflow at n = {n}")
     return value
 
 
 def _exp_rigidity(cfg: ExperimentConfig):
     n = cfg.params["n"]
-    thr_value = _power_threshold(n, cfg.thresholds, "exponent")
-    values = [locallaw.rigidity_stat(lam).total for lam in _per_sample_eigenvalues(cfg, n, "rigidity")]
+    thr_value = _power(n, cfg.thresholds["exponent"], "thresholds.exponent")
+    values = [locallaw.rigidity_stat(lam) for lam in _per_sample_eigenvalues(cfg, n, "rigidity")]
     rows = [[si, v] for si, v in enumerate(values)]
     files = {"rigidity.csv": csv_text("rigidity", ["sample_index", "sum_sq_dev"], rows)}
     statistics = {"values": values, "max": max(values), "threshold": thr_value}
@@ -427,7 +435,7 @@ def _exp_rigidity(cfg: ExperimentConfig):
 def _exp_counting(cfg: ExperimentConfig):
     n = cfg.params["n"]
     thr = cfg.thresholds
-    thr_value = _power_threshold(n, thr, "power", thr["coeff"]) / n
+    thr_value = _power(n, thr["power"], "thresholds.power", thr["coeff"]) / n
     a_exp = cfg.params["a_exponent"]
     values = [locallaw.counting_gap(lam, a_exp) for lam in _per_sample_eigenvalues(cfg, n, "counting")]
     passed = sum(v < thr_value for v in values)
@@ -445,6 +453,7 @@ def _exp_counting(cfg: ExperimentConfig):
 def _exp_edge(cfg: ExperimentConfig):
     n = cfg.params["n"]
     eps = cfg.params["epsilon"]
+    _power(n, -1.0 / 6.0 + eps, "epsilon")  # edge_check's n ** (-1/6 + eps), checked before sampling
     reports = [locallaw.edge_check(lam, eps) for lam in _per_sample_eigenvalues(cfg, n, "edge")]
     rows = [[si, r.passed, r.lower_margin, r.upper_margin] for si, r in enumerate(reports)]
     files = {"edge.csv": csv_text("edge", ["sample_index", "passed", "lower_margin", "upper_margin"], rows)}
@@ -471,9 +480,8 @@ def _exp_dbm_gaps(cfg: ExperimentConfig):
         v = sample_matrix(profile, gauss, beta, derive_seed(cfg.seed, "v", si))
         out = []
         for t in times:
-            ht = h0 if t == 0 else dbm.flow_interpolate(h0, v, t).ht
-            lam = eigh(ht, compute_vectors=False).eigenvalues
-            out.append(stats.unfold(lam, kcut).bulk_gaps())
+            ht = h0 if t == 0 else dbm.flow_interpolate(h0, v, t)
+            out.append(stats.unfold(eigh(ht, compute_vectors=False).eigenvalues, kcut))
         return out
 
     per_sample = pmap(_job, list(range(pr["samples"])), cfg.workers)
@@ -624,15 +632,16 @@ def _exp_zmoments(cfg: ExperimentConfig):
     n = pr["n"]
     profile, dist, beta = _ensemble(cfg, n)
     z = complex(pr["z"][0], pr["z"][1])
-    table = locallaw.z_average_moments(
+    moment_rows = locallaw.z_average_moments(
         profile, dist, beta, z, pr["samples"], pr["p_max"], cfg.seed,
         log_alpha=pr["log_alpha"], workers=cfg.workers,
     )
-    rows = [[r["p"], r["moment"], r["stderr"], r["bound"], r["ratio"]] for r in table.rows]
+    ratio = moment_rows[0]["ratio"]  # the rows ascend in p from p = 2
+    rows = [[r["p"], r["moment"], r["stderr"], r["bound"], r["ratio"]] for r in moment_rows]
     files = {"zmoments.csv": csv_text("zmoments", ["p", "moment", "stderr", "bound", "ratio"], rows)}
-    statistics = {"x_value": table.x_value, "rows": table.rows}
-    acceptance = {"p2_ratio_below_max": table.ratio(2) < cfg.thresholds["ratio_max"]}
-    headline = {"statistic": f"E|Z-avg|^2 / bound = {table.ratio(2):.3g}", "threshold": f"< {cfg.thresholds['ratio_max']}"}
+    statistics = {"x_value": locallaw.x_control(n, profile.m_param, z, pr["log_alpha"]), "rows": moment_rows}
+    acceptance = {"p2_ratio_below_max": ratio < cfg.thresholds["ratio_max"]}
+    headline = {"statistic": f"E|Z-avg|^2 / bound = {ratio:.3g}", "threshold": f"< {cfg.thresholds['ratio_max']}"}
     return files, statistics, acceptance, headline
 
 
@@ -641,7 +650,7 @@ def _exp_correlations(cfg: ExperimentConfig):
     n, kcut = pr["n"], pr["kappa_cut"]
     dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
     pool_a, pool_b = (
-        np.concatenate([stats.unfold(lam, kcut).bulk_gaps() for lam in _per_sample_eigenvalues(cfg, n, tag, law)])
+        np.concatenate([stats.unfold(lam, kcut) for lam in _per_sample_eigenvalues(cfg, n, tag, law)])
         for tag, law in (("a", None), ("b", dist_b))
     )
     ks = stats.ks_distance(stats.EmpiricalCDF(pool_a), stats.EmpiricalCDF(pool_b))
@@ -671,7 +680,7 @@ _REGISTRY = {
     "edge": _Experiment(_exp_edge, {"n": "count", "samples": "count"}, {"epsilon": 0.05}, {}),
     "dbm-gaps": _Experiment(
         _exp_dbm_gaps, {"n": "count", "samples": "count"}, {"times": [0.0, 0.1, 1.0], "kappa_cut": 0.5},
-        {"ks_max": 0.03, "min_gaps": 0}, checks={"times": "times"},
+        {"ks_max": 0.03, "min_gaps": 0}, checks={"times": "times", "kappa_cut": "kappa_cut"},
     ),
     "moments-match": _Experiment(
         _exp_moments_match,
@@ -687,7 +696,7 @@ _REGISTRY = {
     ),
     "correlations": _Experiment(
         _exp_correlations, {"distribution_b": "law", "n": "count", "samples": "count"}, {"kappa_cut": 0.5},
-        {"ks_max": 0.05},
+        {"ks_max": 0.05}, checks={"kappa_cut": "kappa_cut"},
     ),
 }
 
@@ -696,9 +705,10 @@ def _environment(cfg: ExperimentConfig, timings: dict) -> dict:
     """What the run's speed depended on and what it cost (the wall and CPU
     seconds of each stage, the process's peak resident memory so far); kept
     out of every digested file."""
+    blas = numpy_openblas()
     return {
         "blas_threads": BLAS_THREADS,
-        "blas": {lib.name: lib.config for lib in blas_libraries()},
+        "blas": {blas.name: blas.config},
         "lapack": lapack.ROUTINES,
         "workers": cfg.workers if cfg.workers is not None else default_workers(),
         "affinity_cores": affinity_cores(),
@@ -711,7 +721,14 @@ def _environment(cfg: ExperimentConfig, timings: dict) -> dict:
 def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
     """Execute one experiment; write outputs + manifest atomically into outdir.
 
-    The body writes nothing, so a config error it raises leaves no outdir."""
+    The body writes nothing, so a config error it raises leaves no outdir.
+    An outdir that cannot be a directory (it, or its nearest existing
+    ancestor, is not one) is a NotADirectoryError before the body runs."""
+    existing = os.path.abspath(outdir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
     wall0, cpu0 = time.monotonic(), time.process_time()
     files, statistics, acceptance, headline = _REGISTRY[cfg.experiment].body(cfg)
     wall1, cpu1 = time.monotonic(), time.process_time()
@@ -804,6 +821,9 @@ def main(argv=None) -> int:
     except (SolverError, ConvergenceError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the output directory or a file in it
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except RMTError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

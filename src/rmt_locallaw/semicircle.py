@@ -8,15 +8,12 @@ spectral domains used to gate experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "SpectralPoint",
-    "ControlFunction",
     "msc_eval",
     "rho_sc",
     "nsc_eval",
@@ -24,36 +21,6 @@ __all__ = [
     "theta_eval",
     "in_domain",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameter z = e + i*eta with derived edge distance kappa."""
-
-    e: float
-    eta: float
-    kappa: float = field(init=False)
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
-        object.__setattr__(self, "kappa", abs(abs(self.e) - 2.0))
-
-    @property
-    def z(self) -> complex:
-        return complex(self.e, self.eta)
-
-
-@dataclass(frozen=True)
-class ControlFunction:
-    """Parameters of the edge control function: profile gap and edge exponent."""
-
-    delta_plus: float = 1.0
-    edge_exponent_a: int = 1
-
-    def __post_init__(self):
-        if self.edge_exponent_a not in (1, 2):
-            raise DomainError("edge exponent must be 1 or 2")
 
 
 def _msc(z):
@@ -70,14 +37,11 @@ def _msc(z):
     return np.where(m.imag > 0, m, m_alt)
 
 
-def msc_eval(point: SpectralPoint | complex) -> complex:
+def msc_eval(z: complex) -> complex:
     """m_sc(z): the root of m^2 + z*m + 1 = 0 with positive imaginary part."""
-    if isinstance(point, SpectralPoint):
-        z = point.z
-    else:
-        z = complex(point)
-        if not z.imag > 0:
-            raise DomainError(f"Im z must be positive, got {z.imag}")
+    z = complex(z)
+    if not z.imag > 0:
+        raise DomainError(f"Im z must be positive, got {z.imag}")
     return complex(_msc(z))
 
 
@@ -100,11 +64,12 @@ def nsc_eval(e):
     return out if out.ndim else float(out)
 
 
-def classical_locations(n: int, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def classical_locations(n: int) -> np.ndarray:
     """Quantiles gamma_j with n_sc(gamma_j) = j/n, j = 1..n; gamma_n = 2 exactly.
 
-    Bisection on [-2, 2] to `tol` in the energy variable; the j = n inversion
-    is degenerate and is fixed to the edge by convention.
+    Bisection on [-2, 2] to 1e-12 in the energy variable (at most 200
+    halvings); the j = n inversion is degenerate and is fixed to the edge by
+    convention.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -113,12 +78,12 @@ def classical_locations(n: int, tol: float = 1e-12, max_iter: int = 200) -> np.n
     targets = np.arange(1, n) / n
     lo = np.full(n - 1, -2.0)
     hi = np.full(n - 1, 2.0)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         below = nsc_eval(mid) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < tol:
+        if np.max(hi - lo) < 1e-12:
             break
     gamma = np.empty(n)
     gamma[:-1] = 0.5 * (lo + hi)
@@ -126,21 +91,25 @@ def classical_locations(n: int, tol: float = 1e-12, max_iter: int = 200) -> np.n
     return gamma
 
 
-def theta_eval(point: SpectralPoint, ctrl: ControlFunction) -> float:
-    """Edge control function 1/|1 - m_sc^2| + 1/max(delta_plus, |Re m_sc^2 - 1|)."""
-    m2 = msc_eval(point) ** 2
+def theta_eval(z: complex, delta_plus: float) -> float:
+    """Edge control function 1/|1 - m_sc^2| + 1/max(delta_plus, |Re m_sc^2 - 1|),
+    with delta_plus floored at 1e-12, so that a profile with no gap still
+    gives a finite theta."""
+    m2 = msc_eval(z) ** 2
     t1 = 1.0 / abs(1.0 - m2)
-    t2 = 1.0 / max(ctrl.delta_plus, abs(m2.real - 1.0))
+    t2 = 1.0 / max(delta_plus, 1e-12, abs(m2.real - 1.0))
     return float(t1 + t2)
 
 
 DOMAIN_VARIANTS = ("D", "D_theorem", "D_star")
 
 
-def in_domain(point: SpectralPoint, ctrl: ControlFunction, n: int, m_param: float, variant: str = "D") -> bool:
-    """Admissibility of z for the scan domains.
+def in_domain(z: complex, n: int, m_param: float, delta_plus: float, edge_exponent_a: int, variant: str) -> bool:
+    """Admissibility of z = E + i*eta for the scan domains of a profile with
+    dimension n, M = m_param, gap delta_plus and edge exponent A.
 
-    All variants require |E| <= 5 and 1/N < eta <= 10. The variant inequality:
+    All variants require |E| <= 5 and 1/N < eta <= 10. With kappa = ||E| - 2|,
+    the variant inequality:
 
       D:         sqrt(M*eta) >= P * (kappa+eta)^(1/4 - A)
       D_theorem: sqrt(M*eta) >= P * theta(z)^2 * (kappa+eta)^(1/4)
@@ -153,13 +122,15 @@ def in_domain(point: SpectralPoint, ctrl: ControlFunction, n: int, m_param: floa
         raise ValueError(f"unknown domain variant {variant!r}")
     if m_param < 1:
         raise DomainError(f"m_param must be >= 1, got {m_param}")
-    if abs(point.e) > 5.0 or not (1.0 / n < point.eta <= 10.0):
+    z = complex(z)
+    e, eta = z.real, z.imag
+    if abs(e) > 5.0 or not (1.0 / n < eta <= 10.0):
         return False
-    ke = point.kappa + point.eta
-    meta = m_param * point.eta
+    ke = abs(abs(e) - 2.0) + eta
+    meta = m_param * eta
     if variant == "D":
-        return math.sqrt(meta) >= ke ** (0.25 - ctrl.edge_exponent_a)
-    theta = theta_eval(point, ctrl)
+        return math.sqrt(meta) >= ke ** (0.25 - edge_exponent_a)
+    theta = theta_eval(z, delta_plus)
     if variant == "D_theorem":
         return math.sqrt(meta) >= theta**2 * ke**0.25
     return meta >= theta**4 * math.sqrt(ke)

@@ -8,40 +8,24 @@ finite-size effects cancel in comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, EmptyError
 from .linalg import eigenvalues
 from .semicircle import nsc_eval
 
-__all__ = ["UnfoldedSample", "EmpiricalCDF", "unfold", "ks_distance"]
+__all__ = ["EmpiricalCDF", "unfold", "ks_distance"]
 
 
-@dataclass(frozen=True)
-class UnfoldedSample:
-    """Eigenvalues mapped to x_j = N * n_sc(lambda_j), with a bulk mask."""
-
-    points: np.ndarray
-    bulk_mask: np.ndarray
-
-    @property
-    def bulk_points(self) -> np.ndarray:
-        return self.points[self.bulk_mask]
-
-    def bulk_gaps(self) -> np.ndarray:
-        pts = self.bulk_points
-        return np.diff(pts) if pts.size >= 2 else np.empty(0)
-
-
-def unfold(spectrum, kappa_cut: float) -> UnfoldedSample:
-    """Unfold a sorted spectrum; bulk = eigenvalues with |lambda| <= 2 - kappa_cut."""
+def unfold(spectrum, kappa_cut: float) -> np.ndarray:
+    """Unfolded bulk gaps of a spectrum: the spacings of x_j = N * n_sc(lambda_j)
+    over the bulk eigenvalues |lambda_j| <= 2 - kappa_cut, in ascending order
+    (empty below two bulk eigenvalues)."""
     if not 0 < kappa_cut < 2:
         raise ConfigError(f"kappa_cut must be in (0, 2), got {kappa_cut}")
     lam = eigenvalues(spectrum)
     points = lam.size * nsc_eval(lam)
-    return UnfoldedSample(points=np.atleast_1d(points), bulk_mask=np.abs(lam) <= 2.0 - kappa_cut)
+    return np.diff(points[np.abs(lam) <= 2.0 - kappa_cut])
 
 
 class EmpiricalCDF:

@@ -18,22 +18,24 @@ def make_pair(n=30, seed=1, beta=2, dist="bernoulli"):
 
 def test_flow_time_zero_is_identity():
     h0, v = make_pair()
-    fs = flow_interpolate(h0, v, 0.0)
-    assert np.array_equal(np.asarray(fs.ht.entries), np.asarray(h0.entries))
+    ht = flow_interpolate(h0, v, 0.0)
+    assert np.array_equal(np.asarray(ht.entries), np.asarray(h0.entries))
 
 
 def test_flow_log2_coefficients():
     h0, v = make_pair()
-    fs = flow_interpolate(h0, v, math.log(2.0))
+    ht = flow_interpolate(h0, v, math.log(2.0))
     want = h0.entries / math.sqrt(2.0) + v.entries * math.sqrt(0.5)
-    assert np.max(np.abs(fs.ht.entries - want)) < 1e-15
+    assert np.max(np.abs(ht.entries - want)) < 1e-15
+    assert (ht.symmetry_class, ht.profile_id, ht.seed) == (h0.symmetry_class, h0.profile_id, h0.seed)
+    assert ht.dist_id == f"flow(t={math.log(2.0):g};bernoulli)"
 
 
 def test_flow_large_time_forgets_initial_data():
     h0, v = make_pair()
-    fs = flow_interpolate(h0, v, 50.0)
+    ht = flow_interpolate(h0, v, 50.0)
     tiny = 2e-11 * np.max(np.abs(h0.entries)) + 1e-12
-    assert np.max(np.abs(fs.ht.entries - v.entries)) < tiny
+    assert np.max(np.abs(ht.entries - v.entries)) < tiny
 
 
 def test_flow_coefficient_identity_to_machine():
@@ -44,7 +46,7 @@ def test_flow_coefficient_identity_to_machine():
 
 def test_flow_preserves_hermiticity_bitwise():
     h0, v = make_pair(beta=2)
-    ht = flow_interpolate(h0, v, 0.37).ht.entries
+    ht = flow_interpolate(h0, v, 0.37).entries
     assert np.array_equal(np.asarray(ht), np.asarray(ht).conj().T)
 
 

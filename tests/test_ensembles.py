@@ -13,7 +13,6 @@ from rmt_locallaw.ensembles import (
     band_profile,
     catalog_distribution,
     sample_matrix,
-    validate_profile,
     wigner_profile,
 )
 from rmt_locallaw.errors import DegenerateProfileError, NotFoundError, SamplingError
@@ -90,16 +89,17 @@ def test_band_profile_degenerate_shape():
 
 
 def test_validate_wigner_passes_a1():
-    rep = validate_profile(wigner_profile(16))
-    assert rep.violations == []
-    assert rep.vv_holds and rep.edge_exponent_a == 1
+    p = wigner_profile(16)  # validated on construction
+    assert p.column_sum_residual() < 1e-12
+    assert p.c_inf == p.c_sup == 1.0  # (VV) holds
+    assert p.edge_exponent_a == 1
+    assert p.delta_plus == pytest.approx(1.0) and p.delta_minus == pytest.approx(1.0)
 
 
 def test_validate_band_edge_class_follows_min_variance():
     p = band_profile(256, 16, lambda x: max(0.0, 1.0 - abs(x)))
-    rep = validate_profile(p)
-    assert rep.edge_exponent_a == (1 if p.c_inf > 0 else 2)
-    assert rep.edge_exponent_a == 2  # triangle shape vanishes away from the band
+    assert p.edge_exponent_a == (1 if p.c_inf > 0 else 2)
+    assert p.edge_exponent_a == 2  # triangle shape vanishes away from the band
 
 
 def test_validate_reports_column_sum_defect():
@@ -107,9 +107,24 @@ def test_validate_reports_column_sum_defect():
     var[:, 0] *= 0.9
     var[0, :] = var[:, 0]  # keep symmetry; column 0 now sums to < 1
     p = VarianceProfile.from_variances(var, validate=False)
-    rep = validate_profile(p)
-    assert rep.colsum_residual == pytest.approx(0.1, abs=1e-3)
-    assert any("column sums" in v for v in rep.violations)
+    assert p.column_sum_residual() == pytest.approx(0.1, abs=1e-3)
+    with pytest.raises(ValueError, match="column sums deviate from 1 by 0.1"):
+        VarianceProfile.from_variances(var)
+
+
+def test_validate_lists_every_structural_defect():
+    var = np.full((4, 4), 0.25)
+    var[0, 1] = 0.5  # asymmetric, column 1 sums to 1.25
+    var[2, 3] = -0.25  # negative, column 3 sums to 0.5
+    with pytest.raises(ValueError) as err:
+        VarianceProfile.from_variances(var)
+    message = str(err.value)
+    assert message.startswith("invalid variance profile: variances not symmetric (residual 0.5); column sums")
+    assert "negative variances" in message
+    with pytest.raises(ValueError, match="Sigma spectrum escapes"):
+        VarianceProfile.from_variances(np.eye(2), spectrum=[-1.5, 1.0])
+    with pytest.raises(ValueError, match="largest Sigma eigenvalue .*0.5.* != 1"):
+        VarianceProfile.from_variances(np.eye(2), spectrum=[0.0, 0.5])
 
 
 def test_sample_bernoulli_support_and_symmetry():
@@ -151,7 +166,7 @@ def test_sample_exact_hermitian_bitwise():
             for law in (catalog_distribution("bernoulli"), catalog_distribution("uniform"), three_point):
                 h0 = sample_matrix(p, law, beta, seed=5)
                 assert _hermitian_to_the_bit(h0.entries)
-                assert _hermitian_to_the_bit(flow_interpolate(h0, v, 0.37).ht.entries)
+                assert _hermitian_to_the_bit(flow_interpolate(h0, v, 0.37).entries)
 
 
 def test_sample_gaussian_beta2_entry_variance():

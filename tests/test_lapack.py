@@ -131,7 +131,8 @@ def test_main_exits_3_on_lapack_failure(tmp_path, capsys, monkeypatch):
 
 def test_missing_library_is_one_line_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lapack, "_bound", {})
-    monkeypatch.setattr(parallel, "_libraries", [])
+    monkeypatch.setattr(parallel, "_library", None)
+    monkeypatch.setattr(parallel, "_load", lambda path: None)  # no mapped library exports the symbols
     code, err = _run_main(tmp_path, capsys, RIGIDITY)
     assert code == 3 and err.count("\n") == 1 and "scipy_openblas_set_num_threads64_" in err
     with pytest.raises(RMTError, match="scipy_openblas_set_num_threads64_"):

@@ -216,37 +216,38 @@ def test_counting_function_shape_invariants():
 
 def test_rigidity_exact_cases():
     g = classical_locations(64)
-    r = rigidity_stat(g)
-    assert r.total == 0.0
+    assert rigidity_stat(g) == 0.0
     n = 100
-    r2 = rigidity_stat(classical_locations(n) + 1.0 / n)
-    assert r2.total == pytest.approx(1.0 / n, rel=1e-12)
-    np.testing.assert_allclose(r2.deviations, 1.0 / n, atol=1e-15)
+    assert rigidity_stat(classical_locations(n) + 1.0 / n) == pytest.approx(1.0 / n, rel=1e-12)
+    # each eigenvalue is paired with its own classical location: deviations
+    # far below the spacing keep the order, and their squares add up
+    dev = np.random.default_rng(3).uniform(-1e-4, 1e-4, n)
+    assert rigidity_stat(classical_locations(n) + dev) == pytest.approx(float(np.sum(dev * dev)), rel=1e-9)
 
 
 def test_edge_check_examples():
     rep = edge_check(np.array([-1.0, 1.0]), epsilon=0.05)
-    assert rep.passed and rep.norm_bound_ok
+    assert rep.passed
     assert min(rep.lower_margin, rep.upper_margin) > 0.9
     bad = edge_check(np.array([0.0, 3.5]), epsilon=0.05)
     assert not bad.passed
-    assert not bad.norm_bound_ok
+    assert bad.upper_margin < 0 < bad.lower_margin
 
 
-def test_z_moments_degenerate_profile_all_zero():
+def test_z_moments_degenerate_profile_all_zero(monkeypatch):
+    # the identity profile fails the D_star gate (M = 1); the gate is lifted
     p = identity_profile(12)
-    table = z_average_moments(
-        p, catalog_distribution("bernoulli"), 1, 0.5 + 0.05j, 8, 4, seed=5, check_domain=False
-    )
-    for row in table.rows:
+    monkeypatch.setattr(locallaw, "in_domain", lambda *args: True)
+    rows = z_average_moments(p, catalog_distribution("bernoulli"), 1, 0.5 + 0.05j, 8, 4, seed=5)
+    assert [row["p"] for row in rows] == [2, 4]
+    for row in rows:
         assert row["moment"] == 0.0
 
 
 def test_z_moments_gue_ratio_below_one():
     p = wigner_profile(100)
-    table = z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 50, 2, seed=6)
-    assert table.ratio(2) < 1.0
-    row = table.rows[0]
+    [row] = z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 50, 2, seed=6)
+    assert row["p"] == 2 and row["ratio"] < 1.0
     assert row["stderr"] > 0
     assert row["moment"] > 0
 
@@ -255,10 +256,8 @@ def test_z_moments_ratio_trend_at_fixed_meta():
     ratios = []
     for n in (200, 400, 800):
         p = wigner_profile(n)
-        table = z_average_moments(
-            p, catalog_distribution("gaussian"), 2, complex(0.5, 20.0 / n), 24, 2, seed=7
-        )
-        ratios.append(table.ratio(2))
+        [row] = z_average_moments(p, catalog_distribution("gaussian"), 2, complex(0.5, 20.0 / n), 24, 2, seed=7)
+        ratios.append(row["ratio"])
     assert ratios[1] <= ratios[0] * 1.05
     assert ratios[2] <= ratios[1] * 1.05
 
@@ -271,6 +270,12 @@ def test_z_moments_domain_gate():
         z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 3, seed=8)
     with pytest.raises(ConfigError, match="n_samples"):  # no bootstrap stderr from one sample
         z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 1, 2, seed=8)
+    with pytest.raises(ConfigError, match="log_alpha = 1000"):  # a bound that overflows
+        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 2, seed=8, log_alpha=1000)
+    with pytest.raises(ConfigError, match="log_alpha = 60"):  # finite at p = 2, not at p = 8
+        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 8, seed=8, log_alpha=60)
+    with pytest.raises(ConfigError, match="log_alpha = -1000"):  # a bound that underflows to 0
+        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 2, seed=8, log_alpha=-1000)
 
 
 def test_local_law_scan_single_entry():

@@ -13,19 +13,18 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _threads():
-    return [lib.get_threads() for lib in parallel.blas_libraries()]
+    return parallel.numpy_openblas().get_threads()
 
 
 def test_pmap_pins_blas_per_job_and_restores():
-    libs = parallel.blas_libraries()
-    assert len(libs) == 1  # numpy's OpenBLAS, the only one the program calls
+    lib = parallel.numpy_openblas()  # the only BLAS the program calls
+    assert lib is parallel.numpy_openblas()
     earlier = _threads()
     try:
-        for lib in libs:
-            lib.set_threads(2)
+        lib.set_threads(2)
         before = _threads()
         for workers in (1, 2):
-            assert parallel.pmap(lambda job: _threads(), range(3), workers) == [[1]] * 3
+            assert parallel.pmap(lambda job: _threads(), range(3), workers) == [1] * 3
             assert _threads() == before
 
             def boom(job):
@@ -35,15 +34,14 @@ def test_pmap_pins_blas_per_job_and_restores():
                 parallel.pmap(boom, range(3), workers)
             assert _threads() == before
     finally:
-        for lib, count in zip(libs, earlier):
-            lib.set_threads(count)
+        lib.set_threads(earlier)
 
 
 def test_blas_threads_nests_only_at_one_count():
     with parallel.blas_threads(1):
         with parallel.blas_threads(1):
-            assert _threads() == [1]
-        assert _threads() == [1]
+            assert _threads() == 1
+        assert _threads() == 1
         with pytest.raises(ValueError):
             with parallel.blas_threads(2):
                 pass
@@ -60,8 +58,7 @@ def test_overlapping_pmaps_share_one_pin():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for lib in parallel.blas_libraries():
-            lib.set_threads(2)
+        parallel.numpy_openblas().set_threads(2)
         before = _threads()
         threads = [threading.Thread(target=lambda: seen.extend(parallel.pmap(lambda j: _threads(), range(4), 2)))
                    for _ in range(8)]
@@ -70,12 +67,11 @@ def test_overlapping_pmaps_share_one_pin():
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert seen == [[1]] * 32
+        assert seen == [1] * 32
         assert _threads() == before
     finally:
         sys.setswitchinterval(interval)
-        for lib, count in zip(parallel.blas_libraries(), earlier):
-            lib.set_threads(count)
+        parallel.numpy_openblas().set_threads(earlier)
 
 
 _PROBE = """

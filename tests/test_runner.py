@@ -1,8 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmt_locallaw import runner
+from rmt_locallaw import locallaw, runner
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.moments import MomentTarget, match_four_moments
 from rmt_locallaw.runner import (
@@ -47,8 +49,9 @@ INFEASIBLE_LAW = {**INLINE_LAW, "m4": 0.5}
 NAN = float("nan")
 
 # bad configs, each with the key the error names; main runs each through its own subcommand.
-# parse_config rejects each, except a threshold, which fails only where the
-# experiment body computes its value from n
+# parse_config rejects each, except a power of n that overflows (a threshold,
+# epsilon, eta_power, log_alpha), which fails where the experiment body
+# computes it, before the first sample is drawn
 BAD_VALUES = [
     (config("rigidity", samples=2), "'n'"),
     (minimal_config(n="abc"), "n must be"),
@@ -92,7 +95,16 @@ BAD_VALUES = [
     (config("locallaw-scan", sizes=[60, 60], samples=1), "sizes must be"),
     (config("dbm-gaps", n=40, samples=1, times=[0.5, 0.5]), "times must be"),
     (config("dbm-gaps", n=40, samples=1, times=[0, 0.0]), "times must be"),
+    (config("edge", n=40, samples=1, epsilon=1000), "epsilon makes"),
+    (config("locallaw-scan", sizes=[50], samples=1, eta_power=1000), "eta_power makes"),
+    (config("zmoments", n=50, z=[0.5, 0.05], samples=2, log_alpha=1000), "log_alpha = 1000"),
+    (config("dbm-gaps", n=40, samples=1, kappa_cut=2.5), "kappa_cut must be"),
+    (config("correlations", n=50, samples=1, distribution_b="gaussian", kappa_cut=0), "kappa_cut must be"),
 ]
+
+
+def _no_sampling(*args):
+    raise AssertionError("a sample was drawn before the config was rejected")
 
 
 def test_parse_minimal_config_fills_defaults():
@@ -113,15 +125,15 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.thresholds["median_meta_m_err_max"] == 10.0
 
 
-def test_parse_rejects_typo_key(tmp_path):
+def test_parse_rejects_typo_key(tmp_path, monkeypatch):
     with pytest.raises(ConfigError) as err:
         parse_config(minimal_config(samplse=3))
     assert "samplse" in str(err.value)
+    monkeypatch.setattr(runner, "sample_matrix", _no_sampling)
+    monkeypatch.setattr(locallaw, "sample_matrix", _no_sampling)
     for text, key in BAD_VALUES:
         with pytest.raises(ConfigError) as err:
-            cfg = parse_config(text)
-            if key.startswith("thresholds."):
-                run(cfg, str(tmp_path / "out"))
+            run(parse_config(text), str(tmp_path / "out"))
         assert key in str(err.value)
     assert not (tmp_path / "out").exists()
 
@@ -285,6 +297,47 @@ def test_main_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error") and key in err
         assert not never.exists()
+
+
+def test_main_rejects_an_output_path_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(minimal_config())
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    monkeypatch.setattr(runner, "sample_matrix", _no_sampling)  # rejected before the experiment runs
+    for out in (afile, afile / "sub"):
+        capsys.readouterr()
+        assert main(["rigidity", "-c", str(cfg_path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("output error") and str(afile) in err
+    assert afile.read_text() == "kept"
+
+
+def test_main_reports_a_failed_write_in_one_line(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(minimal_config())
+    out = tmp_path / "out"
+
+    def full_disk(path, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(runner, "_atomic_write", full_disk)
+    assert main(["rigidity", "-c", str(cfg_path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("output error") and str(out) in err
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    cfg = parse_config(minimal_config())
+    for umask, want in ((0o022, 0o644), (0o027, 0o640)):
+        out = tmp_path / f"out-{umask:o}"
+        earlier = os.umask(umask)
+        try:
+            run(cfg, str(out))
+        finally:
+            os.umask(earlier)
+        modes = {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in os.listdir(out)}
+        assert len(modes) == 3 and set(modes.values()) == {want}, modes
 
 
 def test_inline_law_needs_only_the_schema_fields(tmp_path, capsys):

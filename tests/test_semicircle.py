@@ -6,16 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from rmt_locallaw.errors import DomainError
-from rmt_locallaw.semicircle import (
-    ControlFunction,
-    SpectralPoint,
-    classical_locations,
-    in_domain,
-    msc_eval,
-    nsc_eval,
-    rho_sc,
-    theta_eval,
-)
+from rmt_locallaw.semicircle import classical_locations, in_domain, msc_eval, nsc_eval, rho_sc, theta_eval
 
 
 def quad_nsc(e: float) -> float:
@@ -26,12 +17,24 @@ def quad_nsc(e: float) -> float:
     return val
 
 
-def test_spectral_point_kappa_recomputed():
-    pt = SpectralPoint(e=2.5, eta=0.1)
-    assert pt.kappa == pytest.approx(0.5, abs=0)
-    assert SpectralPoint(e=-1.0, eta=1.0).kappa == 1.0
-    with pytest.raises(DomainError):
-        SpectralPoint(e=0.0, eta=0.0)
+def test_in_domain_reads_the_edge_distance_from_e():
+    # D with A = 1 is sqrt(M*eta) >= (kappa+eta)^(-3/4), kappa = ||E| - 2|: at
+    # eta = 0.1 the M where it flips depends on E through kappa alone
+    for kappa in (0.5, 1.0):
+        m_flip = (kappa + 0.1) ** -1.5 / 0.1
+        for e in (2.0 + kappa, 2.0 - kappa, -2.0 + kappa, -2.0 - kappa):
+            assert in_domain(complex(e, 0.1), 100, m_flip * (1 + 1e-9), 1.0, 1, "D")
+            assert not in_domain(complex(e, 0.1), 100, m_flip * (1 - 1e-9), 1.0, 1, "D")
+
+
+def test_eta_must_be_positive():
+    for z in (0.0, complex(0.5, 0.0), complex(0.5, -1.0)):
+        with pytest.raises(DomainError):
+            msc_eval(z)
+        with pytest.raises(DomainError):
+            theta_eval(z, 1.0)
+        for variant in ("D", "D_theorem", "D_star"):
+            assert not in_domain(z, 100, 100.0, 1.0, 1, variant)
 
 
 def test_msc_near_edge():
@@ -127,51 +130,54 @@ def test_classical_locations_residuals_n1000():
 
 def test_theta_large_eta_order_one():
     # both terms are order one far from the real axis
-    t = theta_eval(SpectralPoint(0.0, 10.0), ControlFunction(delta_plus=1.0))
+    t = theta_eval(10j, 1.0)
     assert 1 / 50 < t < 50
 
 
 def test_theta_small_eta_center():
-    t = theta_eval(SpectralPoint(0.0, 0.01), ControlFunction(delta_plus=1.0))
+    t = theta_eval(0.01j, 1.0)
     assert t == pytest.approx(1.0, rel=0.05)  # msc^2 ~ -1 so both denominators ~ 2
 
 
 def test_theta_lower_bound_and_edge_power():
-    ctrl = ControlFunction(delta_plus=1.0, edge_exponent_a=1)
     rng = np.random.default_rng(2)
     worst_c = 0.0
     for _ in range(300):
-        pt = SpectralPoint(float(rng.uniform(-5, 5)), float(rng.uniform(1e-5, 10)))
-        m2 = msc_eval(pt.z) ** 2
-        t = theta_eval(pt, ctrl)
+        e, eta = float(rng.uniform(-5, 5)), float(rng.uniform(1e-5, 10))
+        m2 = msc_eval(complex(e, eta)) ** 2
+        t = theta_eval(complex(e, eta), 1.0)
         assert t >= 1.0 / abs(1.0 - m2) - 1e-12
-        worst_c = max(worst_c, t * (pt.kappa + pt.eta) ** 0.5)
+        worst_c = max(worst_c, t * (abs(abs(e) - 2.0) + eta) ** 0.5)
     # constant in theta <= C (kappa+eta)^(-A/2) reported, generous bracket
     assert worst_c < 50
 
 
+def test_theta_floors_a_vanishing_gap():
+    # a profile with no gap (delta_plus = 0) gets the 1e-12 floor, not 1/0
+    z = complex(0.0, 1e-3)
+    m2 = msc_eval(z) ** 2
+    want = 1.0 / abs(1.0 - m2) + 1.0 / max(1e-12, abs(m2.real - 1.0))
+    assert theta_eval(z, 0.0) == theta_eval(z, 1e-12) == want
+    assert theta_eval(z, -1.0) == want
+
+
 def test_in_domain_large_eta_everywhere():
-    ctrl1 = ControlFunction(delta_plus=1.0, edge_exponent_a=1)
-    ctrl2 = ControlFunction(delta_plus=1.0, edge_exponent_a=2)
-    pt = SpectralPoint(0.0, 10.0)
     for n in (10, 100, 100000):
         for variant in ("D", "D_theorem", "D_star"):
-            assert in_domain(pt, ctrl1, n, float(n), variant)
-            assert in_domain(pt, ctrl2, n, float(n), variant)
+            for a in (1, 2):
+                assert in_domain(10j, n, float(n), 1.0, a, variant)
 
 
 def test_in_domain_eta_floor():
-    ctrl = ControlFunction()
     n = 100
-    assert not in_domain(SpectralPoint(0.0, 1.0 / (2 * n)), ctrl, n, float(n), "D")
-    assert not in_domain(SpectralPoint(6.0, 1.0), ctrl, n, float(n), "D")  # |E| > 5
+    assert not in_domain(complex(0.0, 1.0 / (2 * n)), n, float(n), 1.0, 1, "D")
+    assert not in_domain(complex(6.0, 1.0), n, float(n), 1.0, 1, "D")  # |E| > 5
 
 
 def test_in_domain_flips_monotonically_in_eta():
     # at E = 4.9 the D_theorem predicate flips exactly once along an eta ladder
-    ctrl = ControlFunction(delta_plus=1.0, edge_exponent_a=1)
     n = 1000
     etas = np.geomspace(2.0 / n, 9.9, 400)
-    flags = [in_domain(SpectralPoint(4.9, float(eta)), ctrl, n, float(n), "D_theorem") for eta in etas]
+    flags = [in_domain(complex(4.9, eta), n, float(n), 1.0, 1, "D_theorem") for eta in etas]
     assert flags[0] is False and flags[-1] is True
     assert np.all(np.diff(np.asarray(flags, dtype=int)) >= 0)
