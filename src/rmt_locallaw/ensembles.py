@@ -8,7 +8,6 @@ seed they determine one Hermitian sample, reproducibly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -108,7 +107,7 @@ class VarianceProfile:
             if np.any(var < 0):
                 violations.append("negative variances")
             if abs(spectrum[-1] - 1.0) > _SPECTRUM_TOL:
-                violations.append(f"largest Sigma eigenvalue {spectrum[-1]!r} != 1")
+                violations.append(f"largest Sigma eigenvalue {float(spectrum[-1])!r} != 1")
             if spectrum[0] < -1.0 - _SPECTRUM_TOL or spectrum[-1] > 1.0 + _SPECTRUM_TOL:
                 violations.append("Sigma spectrum escapes [-1, 1]")
             if violations:
@@ -172,33 +171,41 @@ def band_profile(n: int, w: int, shape: Callable[[float], float]) -> VariancePro
 
 
 _SQRT3 = math.sqrt(3.0)
+_CATALOG_KINDS = ("bernoulli", "gaussian", "uniform")
+_ATOM_KINDS = ("discrete-atoms", "gaussian-divisible")
 
 
 @dataclass(frozen=True)
 class EntryDistribution:
-    """Standardized entry law (mean 0, variance 1) with known moments.
+    """Standardized entry law (mean 0, variance 1), given by its kind.
 
     kind is one of bernoulli | gaussian | uniform | discrete-atoms |
     gaussian-divisible; atoms holds (value, probability) pairs for the two
-    discrete kinds, and gamma is the Gaussian mixing weight for
-    gaussian-divisible laws: xi = sqrt(1-gamma)*atom_law + sqrt(gamma)*N(0,1).
+    atom kinds, and gamma is the Gaussian mixing weight of a
+    gaussian-divisible law: xi = sqrt(1-gamma)*atom_law + sqrt(gamma)*N(0,1).
+    Its moments follow from these fields; dist_id (default: the kind) keys
+    the random stream of every sample drawn from it.
     """
 
     kind: str
     atoms: tuple | None
-    m3: float
-    m4: float
     gamma: float = 0.0
     dist_id: str = ""
 
     def __post_init__(self):
-        # each test reads "not (... <= tol)", so that a NaN fails it; a NaN or
-        # infinite atom value or probability fails the sum or moment test
-        if not all(map(math.isfinite, (self.m3, self.m4))):
-            raise ValueError(f"m3 and m4 must be finite, got {self.m3}, {self.m4}")
+        # so that no field can be ignored by the sampler: a known kind, atoms
+        # exactly on the atom kinds, a gamma only on gaussian-divisible
+        if self.kind not in _CATALOG_KINDS + _ATOM_KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.kind in ("discrete-atoms", "gaussian-divisible"):
+        if self.gamma != 0.0 and self.kind != "gaussian-divisible":
+            raise ValueError(f"a {self.kind} law takes no gamma, got {self.gamma}")
+        if self.kind in _CATALOG_KINDS and self.atoms is not None:
+            raise ValueError(f"a {self.kind} law takes no atoms")
+        if self.kind in _ATOM_KINDS:
+            # each test reads "not (... <= tol)", so that a NaN fails it; a NaN or
+            # infinite atom value or probability fails the sum or moment test
             if not self.atoms:
                 raise ValueError(f"{self.kind} law requires atoms")
             probs = np.array([p for _, p in self.atoms])
@@ -209,8 +216,6 @@ class EntryDistribution:
             var = sum(p * v * v for v, p in self.atoms)
             if not (abs(mean) <= 1e-12 and abs(var - 1.0) <= 1e-12):
                 raise ValueError(f"atoms must have mean 0 and variance 1, got mean {mean:.3g}, variance {var:.3g}")
-        if not self.m4 - self.m3**2 - 1.0 >= -1e-12:
-            raise ValueError(f"infeasible moments: m4 - m3^2 - 1 = {self.m4 - self.m3 ** 2 - 1.0:.3g} < 0")
         if not self.dist_id:
             object.__setattr__(self, "dist_id", self.kind)
 
@@ -226,19 +231,18 @@ class EntryDistribution:
             return rng.uniform(-_SQRT3, _SQRT3, size=size)
         if self.kind == "discrete-atoms":
             return self._sample_atoms(rng, size)
-        if self.kind == "gaussian-divisible":
-            # sqrt(1-gamma)*base + sqrt(gamma)*g, formed in place with g drawn in
-            # chunks: the same roundings and the same normal stream as whole arrays
-            x = self._sample_atoms(rng, size)
-            x *= math.sqrt(1.0 - self.gamma)
-            flat = x.reshape(-1)
-            scale = math.sqrt(self.gamma)
-            for j in range(0, flat.size, DRAW_CHUNK):
-                g = rng.standard_normal(min(DRAW_CHUNK, flat.size - j))
-                g *= scale
-                flat[j:j + g.size] += g
-            return x
-        raise NotFoundError(f"cannot sample kind {self.kind!r}")
+        # gaussian-divisible: sqrt(1-gamma)*base + sqrt(gamma)*g, formed in place
+        # with g drawn in chunks: the same roundings and the same normal stream
+        # as whole arrays
+        x = self._sample_atoms(rng, size)
+        x *= math.sqrt(1.0 - self.gamma)
+        flat = x.reshape(-1)
+        scale = math.sqrt(self.gamma)
+        for j in range(0, flat.size, DRAW_CHUNK):
+            g = rng.standard_normal(min(DRAW_CHUNK, flat.size - j))
+            g *= scale
+            flat[j:j + g.size] += g
+        return x
 
     def _sample_atoms(self, rng, size):
         """Atom k where cum[k-1] <= u < cum[k], the last atom for u past the
@@ -255,43 +259,11 @@ class EntryDistribution:
             np.copyto(u, v, where=mask)
         return u
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "entry-distribution",
-                "kind": self.kind,
-                "atoms": [list(a) for a in self.atoms] if self.atoms else None,
-                "m3": self.m3,
-                "m4": self.m4,
-                "gamma": self.gamma,
-                "dist_id": self.dist_id,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EntryDistribution":
-        obj = json.loads(text)
-        if obj.get("schema") != "entry-distribution":
-            raise ValueError("not an entry-distribution document")
-        atoms = tuple(tuple(a) for a in obj["atoms"]) if obj.get("atoms") else None
-        return cls(
-            kind=obj["kind"],
-            atoms=atoms,
-            m3=obj["m3"],
-            m4=obj["m4"],
-            gamma=obj.get("gamma", 0.0),
-            dist_id=obj.get("dist_id", ""),
-        )
-
 
 def catalog_distribution(name: str) -> EntryDistribution:
     """Catalog of standardized laws: bernoulli, gaussian, uniform."""
-    if name == "bernoulli":
-        return EntryDistribution(kind="bernoulli", atoms=((1.0, 0.5), (-1.0, 0.5)), m3=0.0, m4=1.0)
-    if name == "gaussian":
-        return EntryDistribution(kind="gaussian", atoms=None, m3=0.0, m4=3.0)
-    if name == "uniform":
-        return EntryDistribution(kind="uniform", atoms=None, m3=0.0, m4=9.0 / 5.0)
+    if name in _CATALOG_KINDS:
+        return EntryDistribution(kind=name, atoms=None)
     raise NotFoundError(f"unknown distribution {name!r}")
 
 

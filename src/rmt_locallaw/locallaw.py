@@ -230,14 +230,13 @@ def local_law_scan(
     n_samples: int,
     z_grid,
     seed: int,
-    variant: str = "D",
     workers: int | None = None,
 ) -> list:
     """Sample-resolved local-law statistics over a z grid, one row per (z,
     sample) in grid-major order; each sample is drawn once for the whole grid.
 
-    Every grid point must pass the requested domain variant before any
-    sampling starts. Per (z, sample): the raw |m_N - m_sc|, Lambda_d and
+    Every grid point must pass the D domain condition before any sampling
+    starts. Per (z, sample): the raw |m_N - m_sc|, Lambda_d and
     Lambda_o together with their scaling-law normalizations
     M*eta*(kappa+eta)^A * |m_N - m_sc|,
     sqrt(M*eta)*(kappa+eta)^(A/2-1/4) * Lambda_d and
@@ -246,8 +245,8 @@ def local_law_scan(
     a_exp = p.edge_exponent_a
     grid = [complex(z) for z in z_grid]
     for z in grid:
-        if not in_domain(z, p.n, p.m_param, p.delta_plus, a_exp, variant):
-            raise ConfigError(f"grid point z={z} fails the {variant} domain condition")
+        if not in_domain(z, p.n, p.m_param, p.delta_plus, a_exp, "D"):
+            raise ConfigError(f"grid point z={z} fails the D domain condition")
 
     def _row(sample_seed, z, diag):
         kappa = abs(abs(z.real) - 2.0)

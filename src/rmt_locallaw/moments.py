@@ -68,13 +68,7 @@ def three_point_construct(t: MomentTarget) -> EntryDistribution:
         got = float(np.sum(probs * vals**k))
         if abs(got - target) > 1e-12 * max(1.0, abs(target)):
             raise MomentInfeasibleError(f"construction drifted: m{k} = {got}, wanted {target}")
-    return EntryDistribution(
-        kind="discrete-atoms",
-        atoms=tuple(atoms),
-        m3=t.m3,
-        m4=t.m4,
-        dist_id=f"three-point({t.m3:g},{t.m4:g})",
-    )
+    return EntryDistribution(kind="discrete-atoms", atoms=tuple(atoms), dist_id=f"three-point({t.m3:g},{t.m4:g})")
 
 
 def gaussian_divisible_transform(m3_in: float, m4_in: float, gamma: float):
@@ -121,8 +115,6 @@ class MatchedLaw:
         return EntryDistribution(
             kind="gaussian-divisible",
             atoms=self.xi_gamma.atoms,
-            m3=self.achieved_m3,
-            m4=self.achieved_m4,
             gamma=self.gamma,
             dist_id=f"matched({self.target.m3:g},{self.target.m4:g};g={self.gamma:g})",
         )

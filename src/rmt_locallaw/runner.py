@@ -23,7 +23,7 @@ import resource
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,11 +35,10 @@ from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, Solv
 from .linalg import eigh
 from .parallel import BLAS_THREADS, affinity_cores, default_workers, numpy_openblas, pmap
 from .seeding import derive_seed, generator
-from .semicircle import DOMAIN_VARIANTS
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 _SHAPES = {
     "box": lambda x: 1.0 if 0 <= x < 1 else 0.0,
@@ -49,10 +48,10 @@ _SHAPES = {
 
 _COMMON_KEYS = {"experiment", "seed", "workers", "thresholds"}
 
-# moments-match sweeps m3 over [-2, 2]; every m4 up to report_sweep_m4_max
-# must be feasible there, m4 >= 1 + m3^2
+# moments-match reports the worst m4 gap over a 9 x 9 sweep of m3 in [-2, 2]
+# and m4 from the feasibility bound 1 + m3^2 to 10
 _SWEEP_M3_MAX = 2.0
-_SWEEP_M4_MIN = 1.0 + _SWEEP_M3_MAX**2
+_SWEEP_M4_MAX = 10.0
 
 
 def _is_int(v) -> bool:
@@ -83,8 +82,6 @@ _KINDS = {
                "a non-empty list of distinct integers >= 1"),
     "number": (_is_number, "a number"),
     "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
-    "sweep_m4": (lambda v: _is_number(v) and v >= _SWEEP_M4_MIN,
-                 f"a number >= {_SWEEP_M4_MIN:g} (1 + m3^2 at the sweep's largest |m3| = {_SWEEP_M3_MAX:g})"),
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
     "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
@@ -93,14 +90,12 @@ _KINDS = {
     "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
                "a non-empty list of numbers in (0, 1)"),
     "kappa_cut": (lambda v: _is_number(v) and 0 < v < 2, "a number in (0, 2)"),
-    "variant": _one_of(*DOMAIN_VARIANTS),
     "profile": _one_of("wigner", "band"),
     "band_shape": _one_of(*_SHAPES),
-    "str": (lambda v: isinstance(v, str), "a string"),
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
     "object": (lambda v: isinstance(v, dict), "an object"),
 }
-_DEFAULT_KINDS = {int: "int", float: "number", list: "numbers", str: "str"}
+_DEFAULT_KINDS = {int: "int", float: "number", list: "numbers"}
 _ENSEMBLE_KINDS = {
     "profile": "profile", "distribution": "law", "beta": "int", "band_w": "count", "band_shape": "band_shape",
 }
@@ -212,16 +207,15 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=exp, seed=doc["seed"], workers=workers, params=params, thresholds=thresholds)
 
 
-_LAW_KEYS = {"schema", *(f.name for f in fields(EntryDistribution))}
-
-
 def _resolve_distribution(spec, path: str) -> EntryDistribution:
     """The entry law a config value names: a catalog name, {"matched": {m3,
-    m4, gamma}} or an inline law. A spec that cannot be built or has an
-    unknown key is a ConfigError naming `path`."""
+    m4, gamma}} or an inline law {"atoms": [[value, prob], ...], "gamma": g},
+    gamma 0 by default, which is gaussian-divisible when gamma > 0 and
+    discrete-atoms otherwise. A spec that cannot be built or has an unknown
+    key is a ConfigError naming `path`."""
     if isinstance(spec, dict):
         matched = spec.get("matched")
-        _check_keys(spec, {"matched"} if "matched" in spec else _LAW_KEYS, path)
+        _check_keys(spec, ("matched",) if "matched" in spec else ("atoms", "gamma"), path)
         if isinstance(matched, dict):
             _check_keys(matched, ("m3", "m4", "gamma"), f"{path}.matched")
     try:
@@ -230,12 +224,14 @@ def _resolve_distribution(spec, path: str) -> EntryDistribution:
         if "matched" in spec:
             m = spec["matched"]
             return moments.match_four_moments(moments.MomentTarget(m["m3"], m["m4"]), m["gamma"]).to_distribution()
-        return EntryDistribution.from_json(json.dumps({"schema": "entry-distribution", **spec}))
+        gamma = spec.get("gamma", 0.0)
+        kind = "gaussian-divisible" if gamma > 0 else "discrete-atoms"
+        return EntryDistribution(kind=kind, atoms=tuple(tuple(a) for a in spec["atoms"]), gamma=gamma)
     except NotFoundError:
         raise ConfigError(f"{path}: unresolved distribution name {spec!r}") from None
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc} in {spec!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ConfigError(f"{path}: cannot build the law {spec!r}: {exc}") from None
 
 
@@ -366,8 +362,7 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
         profile, dist, beta = _ensemble(cfg, n)
         z = complex(pr["e"], etas[n])
         rows = locallaw.local_law_scan(
-            profile, dist, beta, pr["samples"], [z], derive_seed(cfg.seed, "scan", n),
-            variant=pr["variant"], workers=cfg.workers,
+            profile, dist, beta, pr["samples"], [z], derive_seed(cfg.seed, "scan", n), workers=cfg.workers
         )
         all_rows.extend(rows)
         medians_meta[n] = float(np.median([r["meta_m_err"] for r in rows]))
@@ -469,6 +464,17 @@ def _exp_edge(cfg: ExperimentConfig):
     return files, statistics, acceptance, headline
 
 
+def _gap_pool(gaps: list, n: int, kappa_cut: float, name: str) -> np.ndarray:
+    """The pooled unfolded gaps of the samples; an empty pool, where no
+    sample has two eigenvalues in the bulk, is a ConfigError naming the keys
+    that set the bulk."""
+    pool = np.concatenate(gaps)
+    if pool.size == 0:
+        raise ConfigError(f"gap pool {name} is empty: at n = {n} and kappa_cut = {kappa_cut!r} no sample has "
+                          f"two eigenvalues in the bulk |E| <= {2.0 - kappa_cut:g}")
+    return pool
+
+
 def _exp_dbm_gaps(cfg: ExperimentConfig):
     pr = cfg.params
     n, times, kcut = pr["n"], pr["times"], pr["kappa_cut"]
@@ -485,7 +491,7 @@ def _exp_dbm_gaps(cfg: ExperimentConfig):
         return out
 
     per_sample = pmap(_job, list(range(pr["samples"])), cfg.workers)
-    pools = [np.concatenate([s[ti] for s in per_sample]) for ti in range(len(times))]
+    pools = [_gap_pool([s[ti] for s in per_sample], n, kcut, f"t{t:g}") for ti, t in enumerate(times)]
     cdfs = [stats.EmpiricalCDF(pool) for pool in pools]
     ks_matrix = {}
     worst = 0.0
@@ -604,7 +610,7 @@ def _exp_moments_match(cfg: ExperimentConfig):
         rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, gap, mc_ok])
     sweep_worst = 0.0
     for m3 in np.linspace(-_SWEEP_M3_MAX, _SWEEP_M3_MAX, 9):
-        for m4 in np.linspace(1.0 + m3 * m3, pr["report_sweep_m4_max"], 9):
+        for m4 in np.linspace(1.0 + m3 * m3, _SWEEP_M4_MAX, 9):
             law = moments.match_four_moments(moments.MomentTarget(float(m3), float(m4)), max(gammas))
             sweep_worst = max(sweep_worst, law.m4_gap / max(gammas))
     files = {
@@ -650,7 +656,7 @@ def _exp_correlations(cfg: ExperimentConfig):
     n, kcut = pr["n"], pr["kappa_cut"]
     dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
     pool_a, pool_b = (
-        np.concatenate([stats.unfold(lam, kcut) for lam in _per_sample_eigenvalues(cfg, n, tag, law)])
+        _gap_pool([stats.unfold(lam, kcut) for lam in _per_sample_eigenvalues(cfg, n, tag, law)], n, kcut, tag)
         for tag, law in (("a", None), ("b", dist_b))
     )
     ks = stats.ks_distance(stats.EmpiricalCDF(pool_a), stats.EmpiricalCDF(pool_b))
@@ -668,9 +674,9 @@ _REGISTRY = {
     "locallaw-scan": _Experiment(
         _exp_locallaw_scan,
         {"sizes": "counts", "samples": "count"},
-        {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0, "variant": "D", "log_alpha": 1.0},
+        {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0},
         {"median_meta_m_err_max": 10.0, "flatness_ratio_max": 4.0, "median_sqrt_meta_lambda_d_max": 10.0},
-        checks={"eta_coeff": "positive", "variant": "variant"},
+        checks={"eta_coeff": "positive"},
     ),
     "rigidity": _Experiment(_exp_rigidity, {"n": "count", "samples": "count"}, {}, {"exponent": -1.0 / 7.0}),
     "counting": _Experiment(
@@ -685,10 +691,10 @@ _REGISTRY = {
     "moments-match": _Experiment(
         _exp_moments_match,
         {},
-        {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000, "report_sweep_m4_max": 10.0},
+        {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000},
         {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
         ensemble=False,
-        checks={"grid_count": "count", "gammas": "gammas", "mc_draws": "draws", "report_sweep_m4_max": "sweep_m4"},
+        checks={"grid_count": "count", "gammas": "gammas", "mc_draws": "draws"},
     ),
     "zmoments": _Experiment(
         _exp_zmoments, {"n": "count", "z": "point", "samples": "count2"}, {"p_max": 2, "log_alpha": 1.0},

@@ -101,9 +101,6 @@ def theta_eval(z: complex, delta_plus: float) -> float:
     return float(t1 + t2)
 
 
-DOMAIN_VARIANTS = ("D", "D_theorem", "D_star")
-
-
 def in_domain(z: complex, n: int, m_param: float, delta_plus: float, edge_exponent_a: int, variant: str) -> bool:
     """Admissibility of z = E + i*eta for the scan domains of a profile with
     dimension n, M = m_param, gap delta_plus and edge exponent A.
@@ -111,14 +108,13 @@ def in_domain(z: complex, n: int, m_param: float, delta_plus: float, edge_expone
     All variants require |E| <= 5 and 1/N < eta <= 10. With kappa = ||E| - 2|,
     the variant inequality:
 
-      D:         sqrt(M*eta) >= P * (kappa+eta)^(1/4 - A)
-      D_theorem: sqrt(M*eta) >= P * theta(z)^2 * (kappa+eta)^(1/4)
-      D_star:    M*eta       >= P * theta(z)^4 * (kappa+eta)^(1/2)
+      D:      sqrt(M*eta) >= P * (kappa+eta)^(1/4 - A)   (the local-law scan)
+      D_star: M*eta       >= P * theta(z)^4 * (kappa+eta)^(1/2)   (zmoments)
 
     The asymptotic prefactor P is a power of log N whose literal value empties
     every desk-scale grid, so it is frozen to 1.
     """
-    if variant not in DOMAIN_VARIANTS:
+    if variant not in ("D", "D_star"):
         raise ValueError(f"unknown domain variant {variant!r}")
     if m_param < 1:
         raise DomainError(f"m_param must be >= 1, got {m_param}")
@@ -130,7 +126,4 @@ def in_domain(z: complex, n: int, m_param: float, delta_plus: float, edge_expone
     meta = m_param * eta
     if variant == "D":
         return math.sqrt(meta) >= ke ** (0.25 - edge_exponent_a)
-    theta = theta_eval(z, delta_plus)
-    if variant == "D_theorem":
-        return math.sqrt(meta) >= theta**2 * ke**0.25
-    return meta >= theta**4 * math.sqrt(ke)
+    return meta >= theta_eval(z, delta_plus) ** 4 * math.sqrt(ke)

@@ -1,4 +1,4 @@
-"""The README's library tour runs, its tag list is complete, and every exported name exists."""
+"""The README's library tour runs, its tag and module lists are complete, and every exported name exists."""
 
 import importlib
 import pathlib
@@ -24,6 +24,13 @@ def test_readme_python_blocks_run():
 def test_readme_lists_every_experiment_tag():
     listed = re.search(r"Available tags: (.*?)\.\n\n", README.read_text(), flags=re.S).group(1)
     assert sorted(re.findall(r"`([\w-]+)`", listed)) == sorted(runner._REGISTRY)
+
+
+def test_readme_module_table_lists_every_module():
+    table = re.search(r"\| module +\| contents \|\n(.*?)\n\n", README.read_text(), flags=re.S).group(1)
+    listed = re.findall(r"^\| `(\w+)` ", table, flags=re.M)
+    package = [m.name for m in pkgutil.iter_modules(rmt_locallaw.__path__) if m.name != "__main__"]
+    assert sorted(listed) == sorted(package)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -123,8 +123,9 @@ def test_validate_lists_every_structural_defect():
     assert "negative variances" in message
     with pytest.raises(ValueError, match="Sigma spectrum escapes"):
         VarianceProfile.from_variances(np.eye(2), spectrum=[-1.5, 1.0])
-    with pytest.raises(ValueError, match="largest Sigma eigenvalue .*0.5.* != 1"):
+    with pytest.raises(ValueError) as err:
         VarianceProfile.from_variances(np.eye(2), spectrum=[0.0, 0.5])
+    assert str(err.value) == "invalid variance profile: largest Sigma eigenvalue 0.5 != 1"
 
 
 def test_sample_bernoulli_support_and_symmetry():
@@ -208,13 +209,21 @@ def test_sample_rejects_bad_profile():
         sample_matrix(wigner_profile(4), catalog_distribution("gaussian"), 3, seed=0)
 
 
+# the fourth moments of the catalog laws, which the sampler checks below compare against
+CATALOG_M4 = {"bernoulli": 1.0, "gaussian": 3.0, "uniform": 9.0 / 5.0}
+
+
 def test_catalog_moments():
-    assert catalog_distribution("bernoulli").m4 == 1.0
-    assert catalog_distribution("gaussian").m4 == 3.0
-    # oracle: integrate x^4 over the standardized uniform law
+    # oracles for the reference table: the +-1 atoms, and x^4 integrated over
+    # the standardized Gaussian and uniform densities
+    assert CATALOG_M4["bernoulli"] == 0.5 * 1.0**4 + 0.5 * (-1.0) ** 4
+    want, _ = quad(lambda x: x**4 * math.exp(-x * x / 2) / math.sqrt(2 * math.pi), -math.inf, math.inf)
+    assert CATALOG_M4["gaussian"] == pytest.approx(want, abs=1e-12)
     want, _ = quad(lambda x: x**4 / (2 * math.sqrt(3)), -math.sqrt(3), math.sqrt(3))
-    assert catalog_distribution("uniform").m4 == pytest.approx(want, abs=1e-12)
-    assert catalog_distribution("uniform").m4 == pytest.approx(1.8, abs=1e-12)
+    assert CATALOG_M4["uniform"] == pytest.approx(want, abs=1e-12)
+    for name in CATALOG_M4:
+        assert catalog_distribution(name) == EntryDistribution(kind=name, atoms=None)
+        assert catalog_distribution(name).dist_id == name  # keys the random stream
 
 
 def test_catalog_unknown_name():
@@ -231,19 +240,24 @@ def test_catalog_laws_standardized_empirically():
         m2 = x**2
         assert abs(m2.mean() - 1.0) <= 5 * max(m2.std(ddof=1), 1e-12) / math.sqrt(x.size)
         m4 = x**4
-        assert abs(m4.mean() - d.m4) <= 5 * max(m4.std(ddof=1), 1e-12) / math.sqrt(x.size)
+        assert abs(m4.mean() - CATALOG_M4[name]) <= 5 * max(m4.std(ddof=1), 1e-12) / math.sqrt(x.size)
 
 
-def test_distribution_moment_feasibility():
-    for name in ("bernoulli", "gaussian", "uniform"):
-        d = catalog_distribution(name)
-        assert d.m4 - d.m3**2 - 1.0 >= 0.0
-
-
-def test_distribution_json_roundtrip():
-    d = catalog_distribution("bernoulli")
-    e = EntryDistribution.from_json(d.to_json())
-    assert e == d
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "bogus", "atoms": None}, "unknown kind 'bogus'"),
+    ({"kind": "bernoulli", "atoms": ((2.0, 0.5), (-2.0, 0.5))}, "a bernoulli law takes no atoms"),
+    ({"kind": "gaussian", "atoms": ((1.0, 0.5), (-1.0, 0.5))}, "a gaussian law takes no atoms"),
+    ({"kind": "gaussian", "atoms": None, "gamma": 0.5}, "a gaussian law takes no gamma"),
+    ({"kind": "discrete-atoms", "atoms": ((1.0, 0.5), (-1.0, 0.5)), "gamma": 0.5}, "a discrete-atoms law takes no gamma"),
+    ({"kind": "gaussian-divisible", "atoms": ((1.0, 0.5), (-1.0, 0.5)), "gamma": 1.0}, "gamma must be in [0, 1)"),
+    ({"kind": "discrete-atoms", "atoms": ()}, "discrete-atoms law requires atoms"),
+    ({"kind": "discrete-atoms", "atoms": ((1.0, 0.6), (-1.0, 0.5))}, "atom probabilities"),
+    ({"kind": "discrete-atoms", "atoms": ((2.0, 0.5), (-2.0, 0.5))}, "mean 0 and variance 1"),
+])
+def test_construction_rejects_a_law_that_would_run_another(fields, message):
+    with pytest.raises(ValueError) as err:
+        EntryDistribution(**fields)
+    assert message in str(err.value)
 
 
 def _dense_atoms(d, rng, size):
@@ -267,9 +281,18 @@ def _dense_sample(d, rng, size):
 _ATOM_LAWS = [
     three_point_construct(MomentTarget(0.5, 3.0)),
     match_four_moments(MomentTarget(-0.7, 4.0), 0.01).to_distribution(),
-    EntryDistribution(kind="discrete-atoms", atoms=((-0.0, 0.5), (math.sqrt(2.0), 0.25), (-math.sqrt(2.0), 0.25)),
-                      m3=0.0, m4=2.0),
+    EntryDistribution(kind="discrete-atoms", atoms=((-0.0, 0.5), (math.sqrt(2.0), 0.25), (-math.sqrt(2.0), 0.25))),
 ]
+
+
+def test_atom_laws_sample_their_atom_moments():
+    rng = generator(4)
+    for d in _ATOM_LAWS[::2]:  # the discrete-atoms laws
+        x = d.sample(rng, 400_000)
+        for k in (1, 2, 3, 4):
+            want = sum(p * v**k for v, p in d.atoms)
+            mk = x**k
+            assert abs(mk.mean() - want) <= 5 * mk.std(ddof=1) / math.sqrt(x.size), (d.dist_id, k)
 
 
 @pytest.mark.parametrize("size", [1, 1000, DRAW_CHUNK, 2 * DRAW_CHUNK + 17, (3, 5), (300, 301)])

@@ -1,9 +1,10 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rmt_locallaw.ensembles import EntryDistribution
 from rmt_locallaw.errors import ConfigError, MomentInfeasibleError
 from rmt_locallaw.moments import (
     MomentTarget,
@@ -11,6 +12,7 @@ from rmt_locallaw.moments import (
     match_four_moments,
     three_point_construct,
 )
+from rmt_locallaw.runner import _resolve_distribution
 from rmt_locallaw.seeding import generator
 
 
@@ -139,8 +141,9 @@ def test_match_rejects_bad_gamma():
 def test_matched_law_distribution_roundtrip_and_sampling():
     law = match_four_moments(MomentTarget(0.3, 2.0), 0.05)
     d = law.to_distribution()
-    e = EntryDistribution.from_json(d.to_json())
-    assert e == d
+    # written as a config's inline law, it is the same law under the default id
+    inline = {"atoms": [list(a) for a in d.atoms], "gamma": d.gamma}
+    assert _resolve_distribution(json.loads(json.dumps(inline)), "law") == replace(d, dist_id="gaussian-divisible")
     x = d.sample(generator(32), 400_000)
     for k, want in ((1, 0.0), (2, 1.0), (3, law.achieved_m3), (4, law.achieved_m4)):
         mk = x**k

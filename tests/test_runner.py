@@ -44,8 +44,8 @@ def config(experiment, **fields):
     return json.dumps({"experiment": experiment, "seed": 7, **fields})
 
 
-INLINE_LAW = {"kind": "discrete-atoms", "atoms": [[1.0, 0.5], [-1.0, 0.5]], "m3": 0.0, "m4": 1.0}
-INFEASIBLE_LAW = {**INLINE_LAW, "m4": 0.5}
+INLINE_LAW = {"atoms": [[1.0, 0.5], [-1.0, 0.5]]}
+UNNORMALIZED_LAW = {"atoms": [[1.0, 0.6], [-1.0, 0.5]]}
 NAN = float("nan")
 
 # bad configs, each with the key the error names; main runs each through its own subcommand.
@@ -61,12 +61,14 @@ BAD_VALUES = [
     (config("zmoments", n=50, z=[0.5], samples=2), "z must be"),
     (config("zmoments", n=50, z=[0.5, -0.1], samples=2), "z must be"),
     (config("locallaw-scan", sizes=[50], samples=1, eta_coeff=-1), "eta_coeff must be"),
-    (minimal_config(ensemble={"distribution": INFEASIBLE_LAW}), "ensemble.distribution: "),
+    (minimal_config(ensemble={"distribution": UNNORMALIZED_LAW}), "ensemble.distribution: "),
     (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 0.5, "gamma": 0.1}}),
      "distribution_b: "),
     (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0}}), "distribution_b: missing key 'm4'"),
-    (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=4.99), "report_sweep_m4_max must be"),
-    (config("locallaw-scan", sizes=[50], samples=1, variant="foo"), "variant must be"),
+    (config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=200),
+     "unknown key 'report_sweep_m4_max'"),
+    (config("locallaw-scan", sizes=[50], samples=1, variant="D"), "unknown key 'variant'"),
+    (config("locallaw-scan", sizes=[50], samples=1, log_alpha=1.0), "unknown key 'log_alpha'"),
     (config("moments-match", grid_count=1, gammas=[1.0], mc_draws=0), "gammas must be"),
     (minimal_config(ensemble={"profile": "foo"}), "ensemble.profile must be"),
     (minimal_config(ensemble={"profile": "band", "band_shape": "foo"}), "ensemble.band_shape must be"),
@@ -83,8 +85,31 @@ BAD_VALUES = [
      "distribution_b: "),
     (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "atoms": [[2.0, 0.5], [-2.0, 0.5]]}}),
      "ensemble.distribution: "),
-    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "kind": "gaussian-divisible", "gamma": 2}}),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "gamma": 2}}),
      "ensemble.distribution: "),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "gamma": "0.5"}}),
+     "ensemble.distribution: "),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {"atoms": [[10**400, 0.5], [-1.0, 0.5]]}}),
+     "ensemble.distribution: "),
+    (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 10**400, "m4": 3, "gamma": 0.1}}),
+     "distribution_b: "),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {"gamma": 0.5}}),
+     "ensemble.distribution: missing key 'atoms'"),
+    # the old inline form: kind, moments, id and schema are not law keys
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "kind": "bogus"}}),
+     "unknown key 'kind' at ensemble.distribution"),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {"kind": "gaussian", "m3": 0.7, "m4": 2.0}}),
+     "unknown key 'kind' at ensemble.distribution"),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {"kind": "bernoulli", "atoms": [[2, 0.5], [-2, 0.5]]}}),
+     "unknown key 'kind' at ensemble.distribution"),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "kind": "discrete-atoms", "gamma": 0.5}}),
+     "unknown key 'kind' at ensemble.distribution"),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "m3": 0.0}}),
+     "unknown key 'm3' at ensemble.distribution"),
+    (config("correlations", n=50, samples=1, distribution_b={**INLINE_LAW, "dist_id": "bernoulli"}),
+     "unknown key 'dist_id' at distribution_b"),
+    (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "schema": "entry-distribution"}}),
+     "unknown key 'schema' at ensemble.distribution"),
     (config("edge", n=40, samples=1, ensemble={"distribution": {**INLINE_LAW, "bogus_key": 5}}),
      "unknown key 'bogus_key' at ensemble.distribution"),
     (config("correlations", n=50, samples=1, distribution_b={"matched": {"m3": 0, "m4": 3, "gamma": 0.1, "m5": 1}}),
@@ -121,7 +146,6 @@ def test_parse_minimal_config_fills_defaults():
     )
     assert cfg.params["e"] == 0.0
     assert cfg.params["eta_power"] == -0.8
-    assert cfg.params["variant"] == "D"
     assert cfg.thresholds["median_meta_m_err_max"] == 10.0
 
 
@@ -194,11 +218,6 @@ def test_run_writes_manifest_and_outputs(tmp_path):
     assert loaded.digests == manifest.digests
     assert loaded.acceptance == manifest.acceptance
     assert not any(name.startswith(".tmp-rmt-") for name in os.listdir(tmp_path))
-
-
-def test_report_sweep_m4_max_at_the_feasibility_bound_runs(tmp_path):
-    cfg = parse_config(config("moments-match", grid_count=1, gammas=[0.1], mc_draws=0, report_sweep_m4_max=5))
-    assert run(cfg, str(tmp_path)).all_passed
 
 
 def test_manifest_environment_is_kept_out_of_digested_files(tmp_path, monkeypatch):
@@ -347,6 +366,37 @@ def test_inline_law_needs_only_the_schema_fields(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_inline_law_with_gamma_samples_the_gaussian_divisible_law(tmp_path):
+    law = runner._resolve_distribution({**INLINE_LAW, "gamma": 0.5}, "law")
+    assert (law.kind, law.gamma, law.dist_id) == ("gaussian-divisible", 0.5, "gaussian-divisible")
+    # sqrt(1/2) (+-1) + sqrt(1/2) N(0, 1) has m4 = (1/4) 1 + 6/2 - 3/4 = 2.5, and no atom at +-1
+    x = law.sample(generator(12), 400_000)
+    assert not np.any(np.abs(x) == 1.0)
+    m4 = x**4
+    assert abs(m4.mean() - 2.5) <= 5 * m4.std(ddof=1) / np.sqrt(x.size)
+    # a run with the gamma differs from the same atoms without it
+    csvs = []
+    for spec in (INLINE_LAW, {**INLINE_LAW, "gamma": 0.5}):
+        run(parse_config(config("edge", n=40, samples=2, ensemble={"distribution": spec})), str(tmp_path / "o"))
+        csvs.append((tmp_path / "o" / "edge.csv").read_bytes())
+    assert csvs[0] != csvs[1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "dbm-gaps", "seed": 1, "n": 2, "samples": 1},
+    {"experiment": "correlations", "seed": 1, "n": 1, "samples": 2, "distribution_b": "gaussian"},
+])
+def test_main_rejects_an_empty_gap_pool_in_one_line(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([doc["experiment"], "-c", str(cfg_path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: gap pool ")
+    assert f"is empty: at n = {doc['n']} and kappa_cut = 0.5" in err
+    assert not out.exists()
+
+
 def test_python_m_runs_the_cli_without_warnings(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config("edge", n=40, samples=2, ensemble={"distribution": "bernoulli"}))
@@ -450,12 +500,12 @@ _GAUSS = {"profile": "wigner", "distribution": "gaussian", "beta": 2}
 
 # one small valid config per experiment tag; the fuzz test below mutates one key of it
 FUZZ_CONFIGS = {
-    "locallaw-scan": {"ensemble": _GAUSS, "sizes": [30, 40], "samples": 2, "variant": "D"},
+    "locallaw-scan": {"ensemble": _GAUSS, "sizes": [30, 40], "samples": 2},
     "rigidity": {"ensemble": _BAND, "n": 40, "samples": 2},
     "counting": {"ensemble": _GAUSS, "n": 40, "samples": 2, "a_exponent": 1},
     "edge": {"ensemble": _BAND, "n": 40, "samples": 2, "epsilon": 0.05},
     "dbm-gaps": {"ensemble": _BAND, "n": 40, "samples": 2, "times": [0.0, 0.5], "kappa_cut": 0.5},
-    "moments-match": {"grid_count": 4, "gammas": [0.01, 0.1], "mc_draws": 2000, "report_sweep_m4_max": 10.0},
+    "moments-match": {"grid_count": 4, "gammas": [0.01, 0.1], "mc_draws": 2000},
     "zmoments": {"ensemble": _GAUSS, "n": 40, "z": [0.0, 0.3], "samples": 2, "p_max": 2},
     "correlations": {"ensemble": _BAND, "distribution_b": "gaussian", "n": 40, "samples": 2, "kappa_cut": 0.5},
 }

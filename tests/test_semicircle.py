@@ -33,7 +33,7 @@ def test_eta_must_be_positive():
             msc_eval(z)
         with pytest.raises(DomainError):
             theta_eval(z, 1.0)
-        for variant in ("D", "D_theorem", "D_star"):
+        for variant in ("D", "D_star"):
             assert not in_domain(z, 100, 100.0, 1.0, 1, variant)
 
 
@@ -163,7 +163,7 @@ def test_theta_floors_a_vanishing_gap():
 
 def test_in_domain_large_eta_everywhere():
     for n in (10, 100, 100000):
-        for variant in ("D", "D_theorem", "D_star"):
+        for variant in ("D", "D_star"):
             for a in (1, 2):
                 assert in_domain(10j, n, float(n), 1.0, a, variant)
 
@@ -175,9 +175,9 @@ def test_in_domain_eta_floor():
 
 
 def test_in_domain_flips_monotonically_in_eta():
-    # at E = 4.9 the D_theorem predicate flips exactly once along an eta ladder
+    # at E = 4.9 the D_star predicate flips exactly once along an eta ladder
     n = 1000
     etas = np.geomspace(2.0 / n, 9.9, 400)
-    flags = [in_domain(complex(4.9, eta), n, float(n), 1.0, 1, "D_theorem") for eta in etas]
+    flags = [in_domain(complex(4.9, eta), n, float(n), 1.0, 1, "D_star") for eta in etas]
     assert flags[0] is False and flags[-1] is True
     assert np.all(np.diff(np.asarray(flags, dtype=int)) >= 0)
