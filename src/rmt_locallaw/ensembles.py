@@ -229,35 +229,53 @@ class EntryDistribution:
             return x
         if self.kind == "uniform":
             return rng.uniform(-_SQRT3, _SQRT3, size=size)
-        if self.kind == "discrete-atoms":
-            return self._sample_atoms(rng, size)
-        # gaussian-divisible: sqrt(1-gamma)*base + sqrt(gamma)*g, formed in place
-        # with g drawn in chunks: the same roundings and the same normal stream
-        # as whole arrays
-        x = self._sample_atoms(rng, size)
-        x *= math.sqrt(1.0 - self.gamma)
+        # an atom law: its draw_chunks stream, laid out in C order
+        x = np.empty(size)
         flat = x.reshape(-1)
-        scale = math.sqrt(self.gamma)
-        for j in range(0, flat.size, DRAW_CHUNK):
-            g = rng.standard_normal(min(DRAW_CHUNK, flat.size - j))
-            g *= scale
-            flat[j:j + g.size] += g
+        j = 0
+        for chunk in self.draw_chunks(rng, flat.size):
+            flat[j:j + chunk.size] = chunk
+            j += chunk.size
         return x
 
-    def _sample_atoms(self, rng, size):
-        """Atom k where cum[k-1] <= u < cum[k], the last atom for u past the
-        end: vals[searchsorted(cum, u, "right").clip(0, len(vals) - 1)],
-        selected in place over u. The masks u >= cum[k] nest because cum
-        rises, so writing each atom over its mask in order leaves the right
-        one, bit for bit."""
-        vals = [v for v, _ in self.atoms]
+    def draw_chunks(self, rng: np.random.Generator, n: int):
+        """The values of sample(rng, n), in order, as arrays of at most
+        DRAW_CHUNK values each, so that a consumer never holds all n.
+
+        An atom law takes every uniform first and keeps only each draw's atom
+        index, in the smallest unsigned type that holds it (one byte up to
+        256 atoms): atom k where cum[k-1] <= u < cum[k], the last atom for u
+        past the end, i.e. searchsorted(cum, u, "right").clip(0, len - 1).
+        That is the number of edges u reaches, edge k >= 1 being the least of
+        cum[k-1:-1]. The edges are cum[:-1] when cum rises; when a probability
+        inside the -1e-15 tolerance makes cum dip, they still give the last k
+        with u >= cum[k-1]. A gaussian-divisible chunk is then
+        sqrt(1-gamma)*atoms + sqrt(gamma)*g, with g the chunk's normals: the
+        roundings and the stream of the whole-array form."""
+        if self.kind in _CATALOG_KINDS:
+            for j in range(0, n, DRAW_CHUNK):
+                yield self.sample(rng, min(DRAW_CHUNK, n - j))
+            return
+        vals = np.array([v for v, _ in self.atoms])
         cum = np.cumsum([p for _, p in self.atoms])
-        u = rng.random(size)
-        masks = [u >= c for c in cum[:-1]]
-        u.fill(vals[0])
-        for v, mask in zip(vals[1:], masks):
-            np.copyto(u, v, where=mask)
-        return u
+        edges = np.minimum.accumulate(cum[-2::-1])[::-1]
+        index = np.zeros(n, dtype=np.min_scalar_type(len(vals) - 1))
+        for j in range(0, n, DRAW_CHUNK):
+            u = rng.random(min(DRAW_CHUNK, n - j))
+            block = index[j:j + u.size]
+            for edge in edges:
+                np.add(block, u >= edge, out=block)
+        # each product atom * sqrt(1-gamma) rounds as it would per draw
+        # (exactly the atom when gamma is 0), so it is formed once per atom
+        scaled = vals * math.sqrt(1.0 - self.gamma)
+        normals = np.empty(min(n, DRAW_CHUNK))
+        for j in range(0, n, DRAW_CHUNK):
+            x = scaled[index[j:j + DRAW_CHUNK]]
+            if self.kind == "gaussian-divisible":
+                g = rng.standard_normal(out=normals[:x.size])
+                g *= math.sqrt(self.gamma)
+                x += g
+            yield x
 
 
 def catalog_distribution(name: str) -> EntryDistribution:

@@ -25,6 +25,7 @@ __all__ = [
     "ResolventDiagnostics",
     "diagnostics",
     "verify_perturbation_identities",
+    "check_scan_grid",
     "local_law_scan",
     "counting_gap",
     "rigidity_stat",
@@ -223,6 +224,16 @@ SCAN_COLUMNS = [
 ]
 
 
+def check_scan_grid(p: VarianceProfile, z_grid) -> list:
+    """The grid as complex numbers; a point that fails the D domain condition
+    for profile p is a ConfigError."""
+    grid = [complex(z) for z in z_grid]
+    for z in grid:
+        if not in_domain(z, p.n, p.m_param, p.delta_plus, p.edge_exponent_a, "D"):
+            raise ConfigError(f"grid point z={z} fails the D domain condition")
+    return grid
+
+
 def local_law_scan(
     p: VarianceProfile,
     d: EntryDistribution,
@@ -243,10 +254,7 @@ def local_law_scan(
     sqrt(M*eta)*(kappa+eta)^(-1/4) * Lambda_o.
     """
     a_exp = p.edge_exponent_a
-    grid = [complex(z) for z in z_grid]
-    for z in grid:
-        if not in_domain(z, p.n, p.m_param, p.delta_plus, a_exp, "D"):
-            raise ConfigError(f"grid point z={z} fails the D domain condition")
+    grid = check_scan_grid(p, z_grid)
 
     def _row(sample_seed, z, diag):
         kappa = abs(abs(z.real) - 2.0)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dbm, lapack, locallaw, moments, stats
 from .csvio import csv_text
-from .ensembles import DRAW_CHUNK, EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
+from .ensembles import EntryDistribution, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from .errors import ConfigError, ConvergenceError, NotFoundError, RMTError, SolverError
 from .linalg import eigh
 from .parallel import BLAS_THREADS, affinity_cores, default_workers, numpy_openblas, pmap
@@ -59,8 +59,15 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    # JSON's NaN and Infinity parse to floats; no config value may be one
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+    # JSON's NaN and Infinity parse to floats, and an integer may be too large
+    # for one; no config value may be either
+    if _is_int(v):
+        try:
+            float(v)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(v, float) and math.isfinite(v)
 
 
 def _distinct(values: list) -> bool:
@@ -84,7 +91,6 @@ _KINDS = {
     "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
-    "numbers": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)), "a non-empty list of numbers"),
     "times": (lambda v: isinstance(v, list) and v and all(_is_number(x) and x >= 0 for x in v) and _distinct(v),
               "a non-empty list of distinct numbers >= 0"),
     "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
@@ -95,7 +101,7 @@ _KINDS = {
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
     "object": (lambda v: isinstance(v, dict), "an object"),
 }
-_DEFAULT_KINDS = {int: "int", float: "number", list: "numbers"}
+_DEFAULT_KINDS = {int: "int", float: "number"}
 _ENSEMBLE_KINDS = {
     "profile": "profile", "distribution": "law", "beta": "int", "band_w": "count", "band_shape": "band_shape",
 }
@@ -117,8 +123,9 @@ def _check_keys(obj: dict, known, where: str) -> None:
 class _Experiment:
     """One experiment tag: its body, the root keys it requires (key -> kind),
     its optional keys with their defaults (kind from the default's type unless
-    `checks` names a narrower one) and its default thresholds. `ensemble` says
-    whether the optional ensemble object applies."""
+    `checks` names a narrower one; a list default must name its kind there)
+    and its default thresholds. `ensemble` says whether the optional ensemble
+    object applies."""
 
     body: Callable
     required: dict
@@ -129,7 +136,7 @@ class _Experiment:
 
     @property
     def kinds(self) -> dict:
-        kinds = {key: self.checks.get(key, _DEFAULT_KINDS[type(val)]) for key, val in self.defaults.items()}
+        kinds = {key: self.checks.get(key) or _DEFAULT_KINDS[type(val)] for key, val in self.defaults.items()}
         if self.ensemble:
             kinds["ensemble"] = "object"
         return {**kinds, **self.required}
@@ -162,7 +169,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; unknown keys are errors."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python converts
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -353,24 +360,32 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
     pr = cfg.params
     thr = cfg.thresholds
     sizes = sorted(pr["sizes"])
-    # every eta before the first sample, so that one that overflows costs no run
-    etas = {n: _power(n, pr["eta_power"], "eta_power", pr["eta_coeff"]) for n in sizes}
-    all_rows = []
+    # every size's eta and grid point before the first sample, so that one
+    # that overflows or leaves D costs no run
+    zs = {n: complex(pr["e"], _power(n, pr["eta_power"], "eta_power", pr["eta_coeff"])) for n in sizes}
+    ensembles = {n: _ensemble(cfg, n) for n in sizes}
+    for n in sizes:
+        locallaw.check_scan_grid(ensembles[n][0], [zs[n]])
+    rows = {}
     medians_meta = {}
     medians_ld = {}
-    for n in sizes:
-        profile, dist, beta = _ensemble(cfg, n)
-        z = complex(pr["e"], etas[n])
-        rows = locallaw.local_law_scan(
-            profile, dist, beta, pr["samples"], [z], derive_seed(cfg.seed, "scan", n), workers=cfg.workers
+    # largest size first, each ensemble dropped once its scan is done: the
+    # largest scan is the run's peak, and it runs before the smaller scans'
+    # frees can leave the heap fragmented (smallest first, scan-resolvent
+    # peaked 54 MB higher); each size draws from its own seed, so the order
+    # changes no byte
+    for n in reversed(sizes):
+        profile, dist, beta = ensembles.pop(n)
+        rows[n] = locallaw.local_law_scan(
+            profile, dist, beta, pr["samples"], [zs[n]], derive_seed(cfg.seed, "scan", n), workers=cfg.workers
         )
-        all_rows.extend(rows)
-        medians_meta[n] = float(np.median([r["meta_m_err"] for r in rows]))
+        medians_meta[n] = float(np.median([r["meta_m_err"] for r in rows[n]]))
         medians_ld[n] = float(
-            np.median([math.sqrt(profile.m_param * r["eta"]) * r["lambda_d"] for r in rows])
+            np.median([math.sqrt(profile.m_param * r["eta"]) * r["lambda_d"] for r in rows[n]])
         )
     cols = locallaw.SCAN_COLUMNS
-    files = {"locallaw-scan.csv": csv_text("locallaw-scan", cols, [[r[c] for c in cols] for r in all_rows])}
+    table = [[r[c] for c in cols] for n in sizes for r in rows[n]]
+    files = {"locallaw-scan.csv": csv_text("locallaw-scan", cols, table)}
     flatness = medians_meta[sizes[-1]] / medians_meta[sizes[0]] if len(sizes) > 1 else 1.0
     statistics = {
         "median_meta_m_err": medians_meta,
@@ -547,40 +562,36 @@ def moment_target_grid(count: int, gammas) -> list:
     return targets[:count]
 
 
-def _mc_power_stats(draws: np.ndarray) -> list:
-    """(sample mean, its standard error) of x^3 and of x^4 over the draws.
+def _mc_power_stats(chunks) -> list:
+    """(sample mean, its standard error) of x^3 and of x^4 over the draws,
+    read once, one chunk at a time, so that no array of the draws is kept.
 
-    Streamed over DRAW_CHUNK-draw chunks in two passes, the means and then
-    the squared deviations from them, so no second array of the draws' size
-    is alive. The powers are repeated multiplies in a fixed order:
-    x^3 = (x*x)*x, x^4 = x^3*x (`**` goes through pow and is far slower).
+    Each chunk's count, mean and sum of squared deviations M2 merge into the
+    running ones by the pairwise update of Chan, Golub and LeVeque. The powers
+    are repeated multiplies in a fixed order: x^3 = (x*x)*x, x^4 = x^3*x
+    (`**` goes through pow and is far slower).
     """
-    n = draws.size
-    chunks = [draws[j:j + DRAW_CHUNK] for j in range(0, n, DRAW_CHUNK)]
-
-    def powers(c):
+    running = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+    for c in chunks:
         p3 = c * c
         p3 *= c
-        return p3, p3 * c
-
-    sums = [0.0, 0.0]
-    for c in chunks:
-        for k, p in enumerate(powers(c)):
-            sums[k] += float(p.sum())
-    means = [s / n for s in sums]
-    squares = [0.0, 0.0]
-    for c in chunks:
-        for k, p in enumerate(powers(c)):
-            p -= means[k]
+        p4 = p3 * c
+        for k, p in enumerate((p3, p4)):
+            nb = p.size
+            mean_b = float(p.sum()) / nb
+            p -= mean_b
             p *= p
-            squares[k] += float(p.sum())
-    return [(m, math.sqrt(sq / (n - 1)) / math.sqrt(n)) for m, sq in zip(means, squares)]
+            na, mean_a, m2_a = running[k]
+            n = na + nb
+            delta = mean_b - mean_a
+            running[k] = (n, mean_a + delta * (nb / n), m2_a + float(p.sum()) + delta * delta * (na * nb / n))
+    return [(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)) for n, mean, m2 in running]
 
 
-def _mc_moments_ok(law, draws: np.ndarray, sigma: float) -> bool:
+def _mc_moments_ok(law, chunks, sigma: float) -> bool:
     """Sample means of x^3 and x^4 within sigma standard errors of the law's moments."""
     return all(abs(mean - target) <= sigma * se
-               for (mean, se), target in zip(_mc_power_stats(draws), (law.achieved_m3, law.achieved_m4)))
+               for (mean, se), target in zip(_mc_power_stats(chunks), (law.achieved_m3, law.achieved_m4)))
 
 
 def _exp_moments_match(cfg: ExperimentConfig):
@@ -595,7 +606,7 @@ def _exp_moments_match(cfg: ExperimentConfig):
         t, g = laws[k]
         law = moments.match_four_moments(t, g)
         mc_ok = pr["mc_draws"] == 0 or _mc_moments_ok(
-            law, law.to_distribution().sample(generator(cfg.seed, "mc", k), pr["mc_draws"]), thr["mc_sigma"]
+            law, law.to_distribution().draw_chunks(generator(cfg.seed, "mc", k), pr["mc_draws"]), thr["mc_sigma"]
         )
         return law, mc_ok
 

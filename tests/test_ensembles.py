@@ -310,6 +310,16 @@ def test_in_place_atom_draws_equal_the_dense_sampler(law, size):
         assert np.all(np.signbit(got[zeros]) == (law == 2))
 
 
+@pytest.mark.parametrize("size", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 17, (300, 301)])
+@pytest.mark.parametrize("law", range(5))
+def test_draw_chunks_concatenate_to_the_sample(law, size):
+    d = ([catalog_distribution(k) for k in ("bernoulli", "gaussian", "uniform")] + _ATOM_LAWS[:2])[law]
+    want = d.sample(generator(6, law), size)
+    chunks = list(d.draw_chunks(generator(6, law), want.size))
+    assert [c.size for c in chunks[:-1]] == [DRAW_CHUNK] * (len(chunks) - 1) and 1 <= chunks[-1].size <= DRAW_CHUNK
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+
 def test_atom_selection_at_the_cumulative_boundaries():
     class FixedUniforms:
         def __init__(self, u):
@@ -324,6 +334,25 @@ def test_atom_selection_at_the_cumulative_boundaries():
                   np.nextafter(1.0, 0.0), cum[2], np.nextafter(cum[2], 2.0)])
     got = d.sample(FixedUniforms(u), u.size)
     assert got.tobytes() == _dense_atoms(d, FixedUniforms(u), u.size).tobytes()
+
+
+def test_atom_index_is_that_of_the_last_mask_when_the_cumulative_sum_dips():
+    # a probability inside the -1e-15 tolerance makes cum dip below 0.5
+    d = EntryDistribution(kind="discrete-atoms", atoms=((1.0, 0.5), (0.0, -1e-16), (-1.0, 0.5 + 1e-16)))
+    cum = np.cumsum([p for _, p in d.atoms])
+    assert cum[1] < cum[0]
+    u = np.array([0.2, np.nextafter(cum[1], 0.0), cum[1], np.nextafter(cum[0], 0.0), cum[0], 0.7])
+    want = np.full(u.size, d.atoms[0][0])
+    for (v, _), c in zip(d.atoms[1:], cum[:-1]):
+        want[u >= c] = v
+
+    class FixedUniforms:
+        def random(self, size):
+            return u.copy()
+
+    got = np.concatenate(list(d.draw_chunks(FixedUniforms(), u.size)))
+    assert got.tobytes() == want.tobytes()
+    assert list(got) == [1.0, 1.0, -1.0, -1.0, -1.0, -1.0]
 
 
 def _dense_draw(d, rng, size):

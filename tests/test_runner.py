@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,8 @@ BAD_VALUES = [
     (config("dbm-gaps", n=40, samples=1, times=[0, float("nan")]), "times must be"),
     (config("edge", n=40, samples=1, epsilon=float("nan")), "epsilon must be"),
     (config("dbm-gaps", n=40, samples=1, times=[0, -1]), "times must be"),
+    (config("dbm-gaps", n=40, samples=1, times=[0, 10**400]), "times must be"),
+    (config("locallaw-scan", sizes=[10], samples=1, e=10**400), "e must be a number"),
     (minimal_config(n=20, thresholds={"exponent": 1000}), "thresholds.exponent"),
     (config("counting", n=20, samples=1, thresholds={"power": 1000}), "thresholds.power"),
     (minimal_config(ensemble={"distribution": {"matched": {"m3": NAN, "m4": 3.0, "gamma": 0.1}}}),
@@ -162,11 +165,28 @@ def test_parse_rejects_typo_key(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_scan_checks_every_size_before_the_first_sample(tmp_path, monkeypatch):
+    # n = 50 is in D, n = 1000 is not: the scan must not sample n = 50 first
+    calls = []
+    monkeypatch.setattr(locallaw, "sample_matrix", lambda *args: calls.append(args))
+    cfg = parse_config(config("locallaw-scan", sizes=[50, 1000], samples=1, eta_coeff=3, eta_power=-1.2))
+    with pytest.raises(ConfigError, match="fails the D domain condition"):
+        run(cfg, str(tmp_path / "out"))
+    assert len(calls) == 0
+
+
+def test_every_value_kind_is_reached_by_a_key():
+    reached = {kind for entry in runner._REGISTRY.values() for kind in entry.kinds.values()}
+    assert reached | set(runner._ENSEMBLE_KINDS.values()) == set(runner._KINDS)
+
+
 def test_parse_rejects_unknown_experiment_and_bad_json():
     with pytest.raises(ConfigError):
         parse_config(json.dumps({"experiment": "spectra", "seed": 1}))
     with pytest.raises(ConfigError):
         parse_config("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config('{"experiment": "edge", "seed": 1, "n": 40, "samples": 1, "epsilon": ' + "9" * 5000 + "}")
     with pytest.raises(ConfigError):
         parse_config(json.dumps({"experiment": "rigidity"}))  # missing seed
 
@@ -474,17 +494,36 @@ def _dense_power_stats(draws):
 def test_streamed_moment_check_matches_the_dense_form(size):
     for k, (m3, m4) in enumerate([(0.0, 3.0), (0.9, 5.0), (-1.2, 2.5)]):
         law = match_four_moments(MomentTarget(m3, m4), 0.01)
-        draws = law.to_distribution().sample(generator(11, "mc", size, k), size)
-        streamed, dense = runner._mc_power_stats(draws), _dense_power_stats(draws)
+        chunks = list(law.to_distribution().draw_chunks(generator(11, "mc", size, k), size))
+        draws = np.concatenate(chunks)
+        streamed, dense = runner._mc_power_stats(chunks), _dense_power_stats(draws)
         for (mean, se), (mean_d, se_d), target in zip(streamed, dense, (law.achieved_m3, law.achieved_m4)):
             assert se > 0 and se_d > 0
             z, z_d = abs(mean - target) / se, abs(mean_d - target) / se_d
             assert z == pytest.approx(z_d, rel=1e-9)
             for sigma in (0.5, 1.0, 2.0, 5.0):
                 assert (abs(mean - target) <= sigma * se) == (abs(mean_d - target) <= sigma * se_d)
-        assert runner._mc_moments_ok(law, draws, 5.0) == all(
+        assert runner._mc_moments_ok(law, chunks, 5.0) == all(
             abs(m - t) <= 5.0 * e for (m, e), t in zip(dense, (law.achieved_m3, law.achieved_m4))
         )
+
+
+def _mc_check_peak(draws: int) -> int:
+    law = match_four_moments(MomentTarget(0.9, 5.0), 0.01)
+    tracemalloc.start()
+    try:
+        runner._mc_moments_ok(law, law.to_distribution().draw_chunks(generator(12, "mc"), draws), 5.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_check_holds_one_chunk_and_an_atom_index():
+    # a draw costs its one-byte atom index; an array of the draws would cost
+    # 8 bytes a draw, 7.6 MiB at 10^6
+    peak = _mc_check_peak(1_000_000)
+    assert peak < 6 * 2**20
+    assert _mc_check_peak(4_000_000) - peak < 2 * 3_000_000
 
 
 def test_moment_target_grid_is_feasible_and_capped():
