@@ -9,26 +9,46 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .ensembles import MatrixSample, catalog_distribution
 from .errors import ConfigError
 
 __all__ = ["flow_interpolate"]
 
 _GAUSSIAN_ID = catalog_distribution("gaussian").dist_id
+# rows per block of the flow's products, so that their temporaries are 64 x n
+_FLOW_ROWS = 64
 
 
-def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float) -> MatrixSample:
-    """The sample h_t = e^(-t/2) h0 + (1 - e^(-t))^(1/2) v of the exact OU flow."""
+def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float, out: np.ndarray | None = None) -> MatrixSample:
+    """The sample h_t = e^(-t/2) h0 + (1 - e^(-t))^(1/2) v of the exact OU flow.
+
+    Each entry is the sum of the two products, formed 64 rows at a time; at
+    t = 0, h_t is h0 to the bit. The entries go into `out` when it is given
+    (a C-ordered array of h0's shape and dtype, such as np.empty_like of
+    h0's entries) and the sample wraps it writable, so that an eigensolver
+    may overwrite it; otherwise into a new read-only array.
+    """
     if t < 0:
         raise ConfigError(f"flow time must be >= 0, got {t}")
     if h0.profile_id != v.profile_id or h0.symmetry_class != v.symmetry_class:
         raise ConfigError("flow endpoints must share profile and symmetry class")
     if v.dist_id != _GAUSSIAN_ID:
         raise ConfigError(f"comparison matrix must be Gaussian, got {v.dist_id!r}")
-    c0 = math.exp(-t / 2.0)
-    cg = math.sqrt(-math.expm1(-t))
-    entries = c0 * h0.entries + cg * v.entries
-    entries.setflags(write=False)
+    a, g = h0.entries, v.entries
+    entries = np.empty_like(a) if out is None else out
+    if t == 0:
+        np.copyto(entries, a)
+    else:
+        c0 = math.exp(-t / 2.0)
+        cg = math.sqrt(-math.expm1(-t))
+        for r0 in range(0, a.shape[0], _FLOW_ROWS):
+            rows = slice(r0, r0 + _FLOW_ROWS)
+            np.multiply(c0, a[rows], out=entries[rows])
+            entries[rows] += cg * g[rows]
+    if out is None:
+        entries.setflags(write=False)
     return MatrixSample(
         symmetry_class=h0.symmetry_class,
         entries=entries,

@@ -50,7 +50,7 @@ def eigenvalues(spectrum) -> np.ndarray:
     return np.sort(np.asarray(spectrum, dtype=float))
 
 
-def eigh(h, compute_vectors: bool = True) -> Spectrum:
+def eigh(h, compute_vectors: bool = True, overwrite: bool = False) -> Spectrum:
     """Full spectrum of a Hermitian matrix, ascending.
 
     Backed by LAPACK's Householder reduction + tridiagonal diagonalization;
@@ -59,16 +59,25 @@ def eigh(h, compute_vectors: bool = True) -> Spectrum:
     is; any other array is checked and symmetrized first. Eigenvalues alone
     come from `lapack.eigvalsh` (two-stage reduction for complex input);
     with vectors, numpy's eigh, which the tests use as the spectral oracle.
+
+    LAPACK overwrites the array it is given, so eigenvalues alone are taken
+    from a copy of a MatrixSample's entries, unless `overwrite` gives the
+    sample up: then entries that are writable, C-ordered float64 or
+    complex128 go to LAPACK as they are and hold garbage afterwards. A
+    read-only sample is never written.
     """
     if isinstance(h, MatrixSample):
         a = h.entries
+        fresh = overwrite and a.flags.writeable
     else:
         a = np.asarray(h)
         _check_hermitian(a)
         a = 0.5 * (a + a.conj().T)
+        fresh = True
     if not compute_vectors:
-        # a C-ordered float64 or complex128 copy, which LAPACK overwrites
-        return Spectrum(eigenvalues=lapack.eigvalsh(a.astype(complex if a.dtype.kind == "c" else float, order="C")))
+        # C-ordered float64 or complex128, copied unless no caller keeps it
+        dtype = complex if a.dtype.kind == "c" else float
+        return Spectrum(eigenvalues=lapack.eigvalsh(a.astype(dtype, order="C", copy=not fresh)))
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

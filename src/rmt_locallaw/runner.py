@@ -305,7 +305,7 @@ class RunManifest:
         """Read a manifest; a document that is not one is a ConfigError."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python converts
             raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("manifest must be a JSON object")
@@ -497,12 +497,15 @@ def _exp_dbm_gaps(cfg: ExperimentConfig):
     gauss = catalog_distribution("gaussian")
 
     def _job(si):
+        # three n x n arrays: h0, v and one buffer, in which each h_t is
+        # formed and which the eigensolver then overwrites
         h0 = sample_matrix(profile, dist, beta, derive_seed(cfg.seed, "h0", si))
         v = sample_matrix(profile, gauss, beta, derive_seed(cfg.seed, "v", si))
+        buf = np.empty_like(h0.entries)
         out = []
         for t in times:
-            ht = h0 if t == 0 else dbm.flow_interpolate(h0, v, t)
-            out.append(stats.unfold(eigh(ht, compute_vectors=False).eigenvalues, kcut))
+            ht = dbm.flow_interpolate(h0, v, t, out=buf)
+            out.append(stats.unfold(eigh(ht, compute_vectors=False, overwrite=True).eigenvalues, kcut))
         return out
 
     per_sample = pmap(_job, list(range(pr["samples"])), cfg.workers)

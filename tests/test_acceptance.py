@@ -6,6 +6,7 @@ them live) and asserts both the statistical clause and the runtime budget.
 
 import json
 import pathlib
+import tempfile
 import time
 
 import numpy as np
@@ -22,6 +23,9 @@ from rmt_locallaw.semicircle import classical_locations, nsc_eval, rho_sc
 SEED = 20260808
 DETERMINISM_SEED = 424242
 DIGESTS = pathlib.Path(__file__).parent / "data" / "determinism_digests.json"
+WORKLOAD_DIGESTS = pathlib.Path(__file__).parent / "data" / "workload_digests.json"
+WORKLOADS = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads"
+WORKLOAD_SEED = 1
 
 
 def _record(name, passed, detail, elapsed, budget):
@@ -198,14 +202,15 @@ def test_criterion_11_determinism(tmp_path):
     _record("11 determinism", all_ok, detail, elapsed, 600)
 
 
-def determinism_digest_table(outdir: pathlib.Path) -> dict:
-    """Criterion 11's runs at workers=1: each one's manifest digests, with
-    the artifact version and the BLAS build and numpy version they depend on."""
+def _digest_table(runs) -> dict:
+    """The manifest digests of each (name, config document, workers) run, with the
+    artifact version and the BLAS build and numpy version they depend on."""
     digests = {}
-    for tag, body in _determinism_configs().items():
-        cfg = runner.parse_config(json.dumps({"experiment": tag, "seed": DETERMINISM_SEED, **body}))
-        cfg.workers = 1
-        digests[tag] = runner.run(cfg, str(outdir / tag)).digests
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc, workers in runs:
+            cfg = runner.parse_config(json.dumps(doc))
+            cfg.workers = workers
+            digests[name] = runner.run(cfg, str(pathlib.Path(tmp) / name)).digests
     return {
         "artifact_version": runner.ARTIFACT_VERSION,
         "blas": numpy_openblas().config,
@@ -214,23 +219,42 @@ def determinism_digest_table(outdir: pathlib.Path) -> dict:
     }
 
 
-def test_criterion_11_digests_match_the_pinned_table(tmp_path):
+def determinism_digest_table() -> dict:
+    """Criterion 11's runs at workers=1."""
+    return _digest_table((tag, {"experiment": tag, "seed": DETERMINISM_SEED, **body}, 1)
+                         for tag, body in _determinism_configs().items())
+
+
+def workload_digest_table() -> dict:
+    """The benchmark's workload configs at seed 1, on the default workers:
+    a change that claims the same bytes must reproduce these."""
+    return _digest_table((path.stem, {**json.loads(path.read_text()), "seed": WORKLOAD_SEED}, None)
+                         for path in sorted(WORKLOADS.glob("*.json")))
+
+
+def _check_pinned(path: pathlib.Path, table) -> None:
     # bytes may differ on another BLAS build or numpy; on the pinned build any
     # drift fails, and a new ARTIFACT_VERSION needs a regenerated table
-    pinned = json.loads(DIGESTS.read_text())
+    pinned = json.loads(path.read_text())
     blas, numpy_version = numpy_openblas().config, np.__version__
     if (blas, numpy_version) != (pinned["blas"], pinned["numpy"]):
         pytest.skip(f"digests pinned on {pinned['blas']!r} with numpy {pinned['numpy']}; "
                     f"this is {blas!r} with numpy {numpy_version}")
     assert runner.ARTIFACT_VERSION == pinned["artifact_version"], (
-        f"ARTIFACT_VERSION is {runner.ARTIFACT_VERSION}, the table is for {pinned['artifact_version']}: "
+        f"ARTIFACT_VERSION is {runner.ARTIFACT_VERSION}, {path.name} is for {pinned['artifact_version']}: "
         "regenerate it with `PYTHONPATH=src python tests/test_acceptance.py`"
     )
-    assert determinism_digest_table(tmp_path)["digests"] == pinned["digests"]
+    assert table()["digests"] == pinned["digests"]
 
 
-if __name__ == "__main__":  # regenerate the pinned table: PYTHONPATH=src python tests/test_acceptance.py
-    import tempfile
+def test_criterion_11_digests_match_the_pinned_table():
+    _check_pinned(DIGESTS, determinism_digest_table)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        DIGESTS.write_text(json.dumps(determinism_digest_table(pathlib.Path(tmp)), sort_keys=True, indent=1) + "\n")
+
+def test_workload_digests_match_the_pinned_table():
+    _check_pinned(WORKLOAD_DIGESTS, workload_digest_table)
+
+
+if __name__ == "__main__":  # regenerate the pinned tables: PYTHONPATH=src python tests/test_acceptance.py
+    for path, table in ((DIGESTS, determinism_digest_table), (WORKLOAD_DIGESTS, workload_digest_table)):
+        path.write_text(json.dumps(table(), sort_keys=True, indent=1) + "\n")

@@ -50,6 +50,22 @@ def test_flow_preserves_hermiticity_bitwise():
     assert np.array_equal(np.asarray(ht), np.asarray(ht).conj().T)
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_flow_into_a_buffer_is_the_sum_of_the_two_products(beta):
+    # n = 150 is not a multiple of the 64-row blocks
+    h0, v = make_pair(n=150, beta=beta)
+    buf = np.empty_like(h0.entries)
+    for t in (0.1, 1.0, math.log(2.0)):
+        want = math.exp(-t / 2.0) * h0.entries + math.sqrt(-math.expm1(-t)) * v.entries
+        ht = flow_interpolate(h0, v, t, out=buf)
+        assert ht.entries is buf and buf.flags.writeable
+        assert buf.tobytes() == want.tobytes()
+        assert flow_interpolate(h0, v, t).entries.tobytes() == want.tobytes()
+        assert not flow_interpolate(h0, v, t).entries.flags.writeable
+    assert flow_interpolate(h0, v, 0.0, out=buf).entries.tobytes() == h0.entries.tobytes()
+    assert flow_interpolate(h0, v, 0.0).entries.tobytes() == h0.entries.tobytes()
+
+
 def test_flow_rejects_mismatched_inputs():
     h0, v = make_pair(n=10)
     other = sample_matrix(wigner_profile(12), catalog_distribution("gaussian"), 2, 5)

@@ -112,6 +112,17 @@ def test_validate_reports_column_sum_defect():
         VarianceProfile.from_variances(var)
 
 
+@pytest.mark.parametrize("n, i, j", [(2, 1, 0), (64, 63, 0), (65, 64, 63), (150, 149, 3), (150, 70, 140)])
+def test_symmetry_residual_is_the_largest_mirror_difference(n, i, j):
+    # the check reads 64-row blocks against 64-column blocks; a defect on
+    # either side of the diagonal, in any block, is found at its full size
+    var = np.zeros((n, n))
+    var[i, j] = 0.125
+    var[n - 1 - i, j] = var[j, n - 1 - i] = 0.0625  # a mirrored pair: no defect
+    with pytest.raises(ValueError, match=r"^invalid variance profile: variances not symmetric \(residual 0.125\);"):
+        VarianceProfile.from_variances(var, spectrum=np.r_[np.zeros(n - 1), 1.0])
+
+
 def test_validate_lists_every_structural_defect():
     var = np.full((4, 4), 0.25)
     var[0, 1] = 0.5  # asymmetric, column 1 sums to 1.25

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rmt_locallaw import lapack
 from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import DomainError, SymmetryError
 from rmt_locallaw.linalg import eigh, resolvent
@@ -105,6 +108,32 @@ def test_eigh_accepts_matrix_sample():
     s = sample_matrix(wigner_profile(12), catalog_distribution("gaussian"), 2, seed=4)
     w = eigh(s, compute_vectors=False).eigenvalues
     assert w.shape == (12,) and np.all(np.diff(w) >= 0)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_eigh_of_an_array_copies_once_and_leaves_it_untouched(beta):
+    h = random_hermitian(np.random.default_rng(9), 70, beta)
+    kept = h.copy()
+    want = lapack.eigvalsh(np.array(0.5 * (h + h.conj().T), order="C"))
+    assert eigh(h, compute_vectors=False).eigenvalues.tobytes() == want.tobytes()
+    assert eigh(h, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
+    assert h.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_eigh_overwrites_only_a_writable_sample_it_is_given(beta):
+    s = sample_matrix(wigner_profile(70), catalog_distribution("bernoulli"), beta, seed=4)
+    kept = s.entries.copy()
+    want = eigh(s, compute_vectors=False).eigenvalues
+    # a sampled matrix is read-only: never written, even when given up
+    assert eigh(s, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
+    assert s.entries.tobytes() == kept.tobytes()
+    buf = dataclasses.replace(s, entries=kept.copy())
+    assert eigh(buf, compute_vectors=False).eigenvalues.tobytes() == want.tobytes()
+    assert eigh(buf).eigenvalues.tobytes() == eigh(s).eigenvalues.tobytes()
+    assert buf.entries.tobytes() == kept.tobytes()  # a writable sample kept by default
+    assert eigh(buf, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
+    assert buf.entries.tobytes() != kept.tobytes()  # LAPACK worked in the buffer itself
 
 
 def test_resolvent_zero_matrix():

@@ -462,6 +462,7 @@ def test_main_report_subcommand(tmp_path, capsys):
         (json.dumps({"experiment": "edge", "config": {}, "artifact_version": "0", "wall_clock_s": "1s", "digests": {},
                      "acceptance": {}, "statistics": {}}).encode(), "manifest key 'wall_clock_s' has the wrong type"),
         (b"{not json", "manifest is not valid JSON"),
+        (b'{"experiment": "edge", "wall_clock_s": ' + b"9" * 5000 + b"}", "manifest is not valid JSON"),
         (b"\xff\xfe{", f"{path} is not UTF-8 text"),
     ]:
         path.write_bytes(data)
@@ -508,14 +509,20 @@ def test_streamed_moment_check_matches_the_dense_form(size):
         )
 
 
-def _mc_check_peak(draws: int) -> int:
-    law = match_four_moments(MomentTarget(0.9, 5.0), 0.01)
+def _traced_peak(fn) -> int:
+    """The largest number of bytes tracemalloc saw allocated while fn ran."""
     tracemalloc.start()
     try:
-        runner._mc_moments_ok(law, law.to_distribution().draw_chunks(generator(12, "mc"), draws), 5.0)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _mc_check_peak(draws: int) -> int:
+    law = match_four_moments(MomentTarget(0.9, 5.0), 0.01)
+    return _traced_peak(lambda: runner._mc_moments_ok(
+        law, law.to_distribution().draw_chunks(generator(12, "mc"), draws), 5.0))
 
 
 def test_moment_check_holds_one_chunk_and_an_atom_index():
@@ -524,6 +531,24 @@ def test_moment_check_holds_one_chunk_and_an_atom_index():
     peak = _mc_check_peak(1_000_000)
     assert peak < 6 * 2**20
     assert _mc_check_peak(4_000_000) - peak < 2 * 3_000_000
+
+
+def _dbm_gaps_peak(n: int, beta: int) -> int:
+    cfg = parse_config(json.dumps({
+        "experiment": "dbm-gaps", "seed": 1, "n": n, "samples": 1, "workers": 1, "times": [0.0, 0.1, 1.0],
+        "ensemble": {"profile": "wigner", "distribution": "bernoulli", "beta": beta},
+    }))
+    return _traced_peak(lambda: runner._exp_dbm_gaps(cfg))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_dbm_gaps_job_holds_three_matrices_and_row_blocks(beta):
+    # h0, v and the buffer that holds each h_t for the eigensolver, plus the
+    # profile's n x n variances and 64-row blocks; one more n x n array of
+    # the job's dtype (a product, or a copy for LAPACK) would break the bound
+    _dbm_gaps_peak(64, beta)  # the first run imports modules (numpy.ma), whose objects would count
+    n = 600
+    assert _dbm_gaps_peak(n, beta) < 8 * n * n + 3 * 8 * beta * n * n + 4 * 8 * 64 * n
 
 
 def test_moment_target_grid_is_feasible_and_capped():
