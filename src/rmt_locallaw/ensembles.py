@@ -36,9 +36,11 @@ _COLSUM_TOL = 1e-12
 _SPECTRUM_TOL = 1e-9
 # draws per chunk of the streamed sampling and Monte Carlo steps (512 KiB of float64)
 DRAW_CHUNK = 1 << 16
-# rows per block of sample_matrix's draws and fill; the draw order, so the
-# bytes of every sample, depend on it
-_SAMPLE_ROWS = 64
+# rows per block of the row-blocked passes over n x n arrays (sample_matrix's
+# draws and fill, the variance symmetry check, the OU flow's products), so
+# that their temporaries are ROW_BLOCK x n; sample_matrix's draw order, so
+# the bytes of every sample, depend on it
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,11 @@ class VarianceProfile:
         )
         if validate:
             violations = []
-            # max |var - var^T|, over the 64-row blocks on and above the
-            # diagonal against their mirror 64-column blocks: no n x n
+            # max |var - var^T|, over the row blocks on and above the
+            # diagonal against their mirror column blocks: no n x n
             # temporary, and no transposed read of the whole grid
-            sym = float(np.max([np.max(np.abs(var[r:r + 64, r:] - var[r:, r:r + 64].T)) for r in range(0, n, 64)]))
+            b = ROW_BLOCK
+            sym = float(np.max([np.max(np.abs(var[r:r + b, r:] - var[r:, r:r + b].T)) for r in range(0, n, b)]))
             if sym > _COLSUM_TOL:
                 violations.append(f"variances not symmetric (residual {sym:.3g})")
             colres = prof.column_sum_residual()
@@ -310,9 +313,9 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     variance sigma^2_ij (real and imaginary parts each sigma^2_ij/2 for
     beta=2); the diagonal is real with variance sigma^2_ii. All randomness is
     a pure function of (profile, distribution, beta, seed): one stream, taken
-    in blocks of 64 rows, n values per row, the block's rows of x and then
-    (beta=2) of y. Each entry below the diagonal is an exact (conjugate) copy
-    of its mirror, so the sample is Hermitian to the last bit.
+    in blocks of ROW_BLOCK rows, n values per row, the block's rows of x and
+    then (beta=2) of y. Each entry below the diagonal is an exact (conjugate)
+    copy of its mirror, so the sample is Hermitian to the last bit.
     """
     if beta not in (1, 2):
         raise SamplingError(f"symmetry class must be 1 or 2, got {beta}")
@@ -327,9 +330,9 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     # diagonal; copy those below it from their mirrors, exactly (conjugated),
     # so that no arithmetic can give a zero of the other sign; then the
     # diagonal
-    for r0 in range(0, n, _SAMPLE_ROWS):
-        rows = slice(r0, r0 + _SAMPLE_ROWS)
-        x = d.sample(rng, (min(_SAMPLE_ROWS, n - r0), n))
+    for r0 in range(0, n, ROW_BLOCK):
+        rows = slice(r0, r0 + ROW_BLOCK)
+        x = d.sample(rng, (min(ROW_BLOCK, n - r0), n))
         sigma = np.sqrt(var[rows, r0:])
         if beta == 2:
             y = d.sample(rng, x.shape)

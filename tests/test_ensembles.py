@@ -178,7 +178,7 @@ def test_sample_exact_hermitian_bitwise():
             for law in (catalog_distribution("bernoulli"), catalog_distribution("uniform"), three_point):
                 h0 = sample_matrix(p, law, beta, seed=5)
                 assert _hermitian_to_the_bit(h0.entries)
-                assert _hermitian_to_the_bit(flow_interpolate(h0, v, 0.37).entries)
+                assert _hermitian_to_the_bit(flow_interpolate(h0, v, 0.37, np.empty_like(h0.entries)).entries)
 
 
 def test_sample_gaussian_beta2_entry_variance():
