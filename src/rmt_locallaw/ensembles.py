@@ -37,9 +37,10 @@ _SPECTRUM_TOL = 1e-9
 # draws per chunk of the streamed sampling and Monte Carlo steps (512 KiB of float64)
 DRAW_CHUNK = 1 << 16
 # rows per block of the row-blocked passes over n x n arrays (sample_matrix's
-# draws and fill, the variance symmetry check, the OU flow's products), so
-# that their temporaries are ROW_BLOCK x n; sample_matrix's draw order, so
-# the bytes of every sample, depend on it
+# draws and fill, the variance symmetry check, the OU flow's products, the
+# Hermitian part eigh takes of an array), so that their temporaries are
+# ROW_BLOCK x n; sample_matrix's draw order, so the bytes of every sample,
+# depend on it
 ROW_BLOCK = 64
 
 
@@ -49,7 +50,9 @@ class VarianceProfile:
 
     m_param = 1 / max_ij sigma^2_ij; c_inf / c_sup = N * min / max variance;
     delta_plus / delta_minus measure the gap of Spec(Sigma) below 1 and
-    above -1.
+    above -1. `variances` is read-only and need not be contiguous: a flat
+    profile's grid is a zero-stride view of one value and costs O(1), a band
+    profile's holds n^2 doubles.
     """
 
     n: int
@@ -75,12 +78,17 @@ class VarianceProfile:
         conditions are not checked: a degenerate but stochastic profile is
         still samplable, and delta_plus, delta_minus and edge_exponent_a
         report it."""
-        var = np.array(variances, dtype=float)
+        var = np.asarray(variances, dtype=float)
+        if var.flags.writeable:
+            # a read-only grid is kept as it is (a broadcast view stays a
+            # view); a writable one is copied, so that the profile never
+            # aliases an array its caller can change
+            var = var.copy()
+            var.setflags(write=False)
         if var.ndim != 2 or var.shape[0] != var.shape[1] or var.shape[0] < 1:
             raise ValueError(f"variances must be a square grid, got shape {var.shape}")
         n = var.shape[0]
-        var.setflags(write=False)
-        vmax = float(var.max())
+        vmax, vmin = float(var.max()), float(var.min())
         spectrum = np.sort(np.linalg.eigvalsh(var) if spectrum is None else np.asarray(spectrum, dtype=float))
         if n >= 2:
             delta_plus = float(1.0 - spectrum[-2])
@@ -91,7 +99,7 @@ class VarianceProfile:
             n=n,
             variances=var,
             m_param=(1.0 / vmax) if vmax > 0 else math.inf,
-            c_inf=float(n * var.min()),
+            c_inf=n * vmin,
             c_sup=float(n * vmax),
             sigma_spectrum=spectrum,
             delta_minus=delta_minus,
@@ -110,7 +118,7 @@ class VarianceProfile:
             colres = prof.column_sum_residual()
             if colres > _COLSUM_TOL:
                 violations.append(f"column sums deviate from 1 by {colres:.3g}")
-            if np.any(var < 0):
+            if vmin < 0:  # a NaN minimum does not count as negative
                 violations.append("negative variances")
             if abs(spectrum[-1] - 1.0) > _SPECTRUM_TOL:
                 violations.append(f"largest Sigma eigenvalue {float(spectrum[-1])!r} != 1")
@@ -139,7 +147,9 @@ def wigner_profile(n: int) -> VarianceProfile:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
     spectrum = np.zeros(n)
     spectrum[-1] = 1.0
-    return VarianceProfile.from_variances(np.full((n, n), 1.0 / n), profile_id=f"wigner-{n}", spectrum=spectrum)
+    # a read-only view of one value: the grid costs 8 bytes, not n^2 doubles
+    flat = np.broadcast_to(np.float64(1.0 / n), (n, n))
+    return VarianceProfile.from_variances(flat, profile_id=f"wigner-{n}", spectrum=spectrum)
 
 
 def band_profile(n: int, w: int, shape: Callable[[float], float]) -> VarianceProfile:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lapack
-from .ensembles import MatrixSample
+from .ensembles import ROW_BLOCK, MatrixSample
 from .errors import ConvergenceError, DomainError, SolverError, SymmetryError
 
 __all__ = ["Spectrum", "ResolventSlice", "eigenvalues", "eigh", "surviving_indices", "resolvent"]
@@ -28,11 +28,26 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(h)
 
 
-def _check_hermitian(a: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 * (a + a^H) in a new array, once max |a - a^H| is checked against
+    _HERM_TOL * max(1, max |a|) (a SymmetryError above it). Each ROW_BLOCK-row
+    block goes against its mirror column block, so the new array is the only
+    n x n allocation; its entries are those of the whole-array expression."""
+    out = np.empty(a.shape, dtype=np.result_type(a.dtype, 0.5))
+    scales, defects = [0.0], [0.0]
+    for r in range(0, a.shape[0], ROW_BLOCK):
+        rows = slice(r, r + ROW_BLOCK)
+        mirror = a[:, rows].T.conj()
+        scales.append(np.max(np.abs(a[rows])))
+        defects.append(np.max(np.abs(a[rows] - mirror)))
+        block = out[rows]
+        np.add(a[rows], mirror, out=block)
+        block *= 0.5
+    # np.max, not max, so that a NaN propagates as in the whole-array form
+    scale, defect = max(1.0, float(np.max(scales))), float(np.max(defects))
     if defect > _HERM_TOL * scale:
         raise SymmetryError(f"matrix is not Hermitian (defect {defect:.3g})")
+    return out
 
 
 @dataclass
@@ -70,9 +85,7 @@ def eigh(h, compute_vectors: bool = True, overwrite: bool = False) -> Spectrum:
         a = h.entries
         fresh = overwrite and a.flags.writeable
     else:
-        a = np.asarray(h)
-        _check_hermitian(a)
-        a = 0.5 * (a + a.conj().T)
+        a = _hermitian_part(np.asarray(h))
         fresh = True
     if not compute_vectors:
         # C-ordered float64 or complex128, copied unless no caller keeps it

@@ -66,7 +66,8 @@ def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
     n = a.shape[0]
     gd = np.diag(g)
     # one product over all of var: a short block goes through other dgemv
-    # paths and can move a row's sum by an ulp, a 1-row block through a dot
+    # paths and can move a row's sum by an ulp, a 1-row block through a dot;
+    # a flat profile's zero-stride view goes through numpy's own loop
     var_g = var @ gd.real + 1j * (var @ gd.imag)
     dots = np.zeros(n, dtype=complex)
     pw_row = np.empty(n, dtype=complex)

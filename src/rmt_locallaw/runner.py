@@ -38,7 +38,7 @@ from .seeding import derive_seed, generator
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 _SHAPES = {
     "box": lambda x: 1.0 if 0 <= x < 1 else 0.0,

@@ -255,6 +255,26 @@ def test_workload_digests_match_the_pinned_table():
     _check_pinned(WORKLOAD_DIGESTS, workload_digest_table)
 
 
+def digest_changes(old: dict, new: dict) -> list:
+    """(run, file, old digest, new digest) for each digest that new adds,
+    drops or changes against old (None where a side has none), sorted."""
+    keys = {(run, name) for table in (old, new) for run, files in table.items() for name in files}
+    pairs = ((run, name, old.get(run, {}).get(name), new.get(run, {}).get(name)) for run, name in sorted(keys))
+    return [change for change in pairs if change[2] != change[3]]
+
+
+def test_digest_changes_lists_added_dropped_and_changed_digests():
+    old = {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.csv": "3"}}
+    new = {"a": {"x.csv": "1", "y.csv": "4"}, "c": {"z.csv": "3"}}
+    assert digest_changes(old, new) == [
+        ("a", "y.csv", "2", "4"), ("b", "z.csv", "3", None), ("c", "z.csv", None, "3")]
+    assert digest_changes(old, old) == []
+
+
 if __name__ == "__main__":  # regenerate the pinned tables: PYTHONPATH=src python tests/test_acceptance.py
     for path, table in ((DIGESTS, determinism_digest_table), (WORKLOAD_DIGESTS, workload_digest_table)):
-        path.write_text(json.dumps(table(), sort_keys=True, indent=1) + "\n")
+        fresh = table()
+        # what the overwrite changes, so that a version bump can list it
+        for run, name, before, after in digest_changes(json.loads(path.read_text())["digests"], fresh["digests"]):
+            print(f"{path.name}: {run}/{name} {before} -> {after}")
+        path.write_text(json.dumps(fresh, sort_keys=True, indent=1) + "\n")

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _peak import traced_peak
 from rmt_locallaw.dbm import flow_interpolate
 from rmt_locallaw.ensembles import (
     DRAW_CHUNK,
@@ -38,6 +38,34 @@ def test_wigner_profile_n1():
 def test_wigner_profile_column_sums_exact():
     p = wigner_profile(64)
     assert np.max(np.abs(p.variances.sum(axis=0) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_flat_profile_is_a_view_that_samples_as_a_dense_grid(beta):
+    n = 150
+    flat = wigner_profile(n)
+    dense = VarianceProfile.from_variances(np.full((n, n), 1.0 / n), profile_id=flat.profile_id,
+                                           spectrum=flat.sigma_spectrum)
+    assert flat.variances.strides == (0, 0) and not flat.variances.flags.writeable
+    for field in ("n", "m_param", "c_inf", "c_sup", "delta_minus", "delta_plus", "profile_id"):
+        assert getattr(flat, field) == getattr(dense, field)
+    d = catalog_distribution("bernoulli")
+    assert sample_matrix(flat, d, beta, seed=7).entries.tobytes() == sample_matrix(dense, d, beta, seed=7).entries.tobytes()
+
+
+def test_flat_profile_holds_no_grid():
+    # the validation's 64-row blocks are its largest arrays; n^2 doubles would be 32 MB
+    n = 2000
+    assert traced_peak(lambda: wigner_profile(n)) < 4 * 8 * 64 * n
+
+
+def test_profile_copies_a_writable_grid_and_keeps_a_read_only_one():
+    var = np.full((8, 8), 1.0 / 8)
+    p = VarianceProfile.from_variances(var)
+    var[0, 0] = 5.0
+    assert np.all(p.variances == 1.0 / 8) and not p.variances.flags.writeable
+    view = np.broadcast_to(np.float64(1.0 / 8), (8, 8))
+    assert VarianceProfile.from_variances(view).variances is view
 
 
 def test_wigner_profile_rejects_zero_dimension():
@@ -419,10 +447,4 @@ def test_sample_matrix_holds_its_draws_its_output_and_one_row_block():
     # 5 x 64 n x 8 more (1.16 x in all); whole x and y planes made 2.1 x
     n = 1024
     p = wigner_profile(n)
-    tracemalloc.start()
-    try:
-        sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * 16 * n * n
+    assert traced_peak(lambda: sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=0)) <= 1.2 * 16 * n * n

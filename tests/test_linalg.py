@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _peak import traced_peak
 from rmt_locallaw import lapack
 from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import DomainError, SymmetryError
@@ -118,6 +119,15 @@ def test_eigh_of_an_array_copies_once_and_leaves_it_untouched(beta):
     assert eigh(h, compute_vectors=False).eigenvalues.tobytes() == want.tobytes()
     assert eigh(h, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
     assert h.tobytes() == kept.tobytes()
+
+
+def test_eigh_of_an_array_holds_its_hermitian_part_and_row_blocks():
+    # the copy LAPACK overwrites is the one n x n array; checking and
+    # symmetrizing the whole array at once held a second one beside it
+    n = 600
+    h = random_hermitian(np.random.default_rng(5), n, beta=1)
+    eigh(h[:64, :64], compute_vectors=False)
+    assert traced_peak(lambda: eigh(h, compute_vectors=False)) < 8 * n * n + 4 * 8 * 64 * n
 
 
 @pytest.mark.parametrize("beta", [1, 2])

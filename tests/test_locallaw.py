@@ -1,11 +1,11 @@
 import dataclasses
 import json
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from _peak import traced_peak
 from rmt_locallaw import locallaw
 from rmt_locallaw.ensembles import VarianceProfile, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import ConfigError
@@ -114,13 +114,24 @@ def test_diagnostics_holds_one_resolvent_and_one_row_block():
     n = 512
     p = wigner_profile(n)
     h = sample_matrix(p, catalog_distribution("bernoulli"), 2, seed=0)
-    tracemalloc.start()
-    try:
-        diagnostics(h, p, complex(0.3, n**-0.8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 16 * n * n
+    assert traced_peak(lambda: diagnostics(h, p, complex(0.3, n**-0.8))) <= 1.25 * 16 * n * n
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_diagnostics_of_the_flat_profile_match_a_dense_grid(beta):
+    # var @ g on the flat profile's view runs numpy's own loop, not dgemv:
+    # the sums may move by an ulp, no more
+    n = 150
+    flat = wigner_profile(n)
+    dense = VarianceProfile.from_variances(np.full((n, n), 1.0 / n), profile_id=flat.profile_id,
+                                           spectrum=flat.sigma_spectrum)
+    h = sample_matrix(flat, catalog_distribution("bernoulli"), beta, seed=3)
+    for z in (0.3 + 0.05j, -1.9 + 0.5j):
+        got, want = diagnostics(h, flat, z), diagnostics(h, dense, z)
+        for field in ("m_n", "lambda_d", "lambda_o", "upsilon_max", "mainseeq_residual"):
+            assert abs(getattr(got, field) - getattr(want, field)) < 1e-12
+        for field in ("z_terms", "upsilon_terms"):
+            assert np.max(np.abs(getattr(got, field) - getattr(want, field))) < 1e-12
 
 
 def test_diagnostics_dimension_mismatch():

@@ -8,14 +8,15 @@ import stat
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _peak import traced_peak
 from rmt_locallaw import locallaw, runner
+from rmt_locallaw.ensembles import catalog_distribution, wigner_profile
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.moments import MomentTarget, match_four_moments
 from rmt_locallaw.runner import (
@@ -509,19 +510,9 @@ def test_streamed_moment_check_matches_the_dense_form(size):
         )
 
 
-def _traced_peak(fn) -> int:
-    """The largest number of bytes tracemalloc saw allocated while fn ran."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _mc_check_peak(draws: int) -> int:
     law = match_four_moments(MomentTarget(0.9, 5.0), 0.01)
-    return _traced_peak(lambda: runner._mc_moments_ok(
+    return traced_peak(lambda: runner._mc_moments_ok(
         law, law.to_distribution().draw_chunks(generator(12, "mc"), draws), 5.0))
 
 
@@ -538,17 +529,31 @@ def _dbm_gaps_peak(n: int, beta: int) -> int:
         "experiment": "dbm-gaps", "seed": 1, "n": n, "samples": 1, "workers": 1, "times": [0.0, 0.1, 1.0],
         "ensemble": {"profile": "wigner", "distribution": "bernoulli", "beta": beta},
     }))
-    return _traced_peak(lambda: runner._exp_dbm_gaps(cfg))
+    return traced_peak(lambda: runner._exp_dbm_gaps(cfg))
 
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_dbm_gaps_job_holds_three_matrices_and_row_blocks(beta):
-    # h0, v and the buffer that holds each h_t for the eigensolver, plus the
-    # profile's n x n variances and 64-row blocks; one more n x n array of
-    # the job's dtype (a product, or a copy for LAPACK) would break the bound
+    # h0, v and the buffer that holds each h_t for the eigensolver, plus
+    # 64-row blocks; one more n x n array of the job's dtype (a product, or a
+    # copy for LAPACK), or a flat profile's n x n variances, would break the bound
     _dbm_gaps_peak(64, beta)  # the first run imports modules (numpy.ma), whose objects would count
     n = 600
-    assert _dbm_gaps_peak(n, beta) < 8 * n * n + 3 * 8 * beta * n * n + 4 * 8 * 64 * n
+    assert _dbm_gaps_peak(n, beta) < 3 * 8 * beta * n * n + 4 * 8 * 64 * n
+
+
+def _diagnostics_job_peak(n: int) -> int:
+    return traced_peak(lambda: locallaw._per_sample_diagnostics(
+        wigner_profile(n), catalog_distribution("bernoulli"), 2, 1, 1, [complex(0.3, n**-0.8)],
+        lambda _seed, _z, diag: diag.upsilon_max, 1))
+
+
+def test_diagnostics_job_holds_its_sample_its_resolvent_and_row_blocks():
+    # H and G at 16 n^2 bytes each, plus zgetri's work array and 64-row
+    # blocks; the flat profile's n x n variances (8 n^2 more) would break it
+    _diagnostics_job_peak(64)
+    n = 600
+    assert _diagnostics_job_peak(n) < 2 * 16 * n * n + 2 * 16 * 64 * n
 
 
 def test_moment_target_grid_is_feasible_and_capped():
