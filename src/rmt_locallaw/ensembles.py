@@ -72,12 +72,12 @@ class VarianceProfile:
         """Profile of a variance grid. `spectrum` is Spec(Sigma) when the caller
         knows it in closed form; otherwise a dense eigvalsh computes it.
 
-        With `validate`, a structural defect (asymmetry, column sums,
-        negativity, a spectrum outside [-1, 1] or without its eigenvalue 1)
-        is a ValueError listing every defect found. The spectral-gap
-        conditions are not checked: a degenerate but stochastic profile is
-        still samplable, and delta_plus, delta_minus and edge_exponent_a
-        report it."""
+        With `validate`, a structural defect (entries that are not finite,
+        asymmetry, column sums, negativity, a spectrum outside [-1, 1] or
+        without its eigenvalue 1) is a ValueError listing every defect found.
+        The spectral-gap conditions are not checked: a degenerate but
+        stochastic profile is still samplable, and delta_plus, delta_minus
+        and edge_exponent_a report it."""
         var = np.asarray(variances, dtype=float)
         if var.flags.writeable:
             # a read-only grid is kept as it is (a broadcast view stays a
@@ -107,7 +107,8 @@ class VarianceProfile:
             profile_id=profile_id,
         )
         if validate:
-            violations = []
+            # a NaN passes every comparison below, so it is named here
+            violations = [] if math.isfinite(vmin) and math.isfinite(vmax) else ["variances not finite"]
             # max |var - var^T|, over the row blocks on and above the
             # diagonal against their mirror column blocks: no n x n
             # temporary, and no transposed read of the whole grid
@@ -329,7 +330,7 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     """
     if beta not in (1, 2):
         raise SamplingError(f"symmetry class must be 1 or 2, got {beta}")
-    if p.column_sum_residual() > 1e-8:
+    if not p.column_sum_residual() <= 1e-8:  # written so that a NaN residual fails it
         raise SamplingError("profile violates the column-sum normalization")
     n = p.n
     var = p.variances

@@ -25,6 +25,7 @@ __all__ = [
     "ResolventDiagnostics",
     "diagnostics",
     "verify_perturbation_identities",
+    "sample_map",
     "check_scan_grid",
     "local_law_scan",
     "counting_gap",
@@ -204,16 +205,16 @@ def verify_perturbation_identities(h, z: complex, i: int, j: int, k: int) -> flo
     return float(worst)
 
 
-def _per_sample_diagnostics(p, d, beta, seed, n_samples, grid, reduce, workers):
-    """One pmap job per sample: sample si is drawn once, from derive_seed(seed,
-    si), and reduce(sample_seed, z, diagnostics) is taken at each z of the grid
-    in turn, so a job holds its H and one resolvent at a time. Returns, per
-    sample, the reduced values in grid order."""
+def sample_map(p, d, beta, seed, parts, n_samples, reduce, workers) -> list:
+    """One pmap job per sample, results in sample order: job si draws its
+    sample H once, from derive_seed(seed, *parts, si), and returns
+    reduce(sample_seed, H), which may take diagnostics and eigenvalues of that
+    same H. A job holds H and what reduce makes of it, nothing of another
+    sample."""
 
     def _job(si):
-        sample_seed = derive_seed(seed, si)
-        hs = sample_matrix(p, d, beta, sample_seed)
-        return [reduce(sample_seed, z, diagnostics(hs, p, z)) for z in grid]
+        sample_seed = derive_seed(seed, *parts, si)
+        return reduce(sample_seed, sample_matrix(p, d, beta, sample_seed))
 
     return pmap(_job, list(range(n_samples)), workers)
 
@@ -281,7 +282,9 @@ def local_law_scan(
             "mainseeq_residual": diag.mainseeq_residual,
         }
 
-    per_sample = _per_sample_diagnostics(p, d, beta, seed, n_samples, grid, _row, workers)
+    # each z in turn, so that a job holds its H and one resolvent at a time
+    per_sample = sample_map(p, d, beta, seed, (), n_samples,
+                            lambda sample_seed, h: [_row(sample_seed, z, diagnostics(h, p, z)) for z in grid], workers)
     return [rows[zi] for zi in range(len(grid)) for rows in per_sample]
 
 
@@ -371,10 +374,8 @@ def z_average_moments(
     if not all(0.0 < b < math.inf for b in bounds):
         raise ConfigError(f"log_alpha = {log_alpha!r} makes the bound overflow or vanish at n = {p.n}")
 
-    per_sample = _per_sample_diagnostics(
-        p, d, beta, seed, n_samples, [z], lambda _seed, _z, diag: complex(np.mean(diag.z_terms)), workers
-    )
-    sums = np.array([values[0] for values in per_sample])
+    sums = np.array(sample_map(p, d, beta, seed, (), n_samples,
+                               lambda _seed, h: complex(np.mean(diagnostics(h, p, z).z_terms)), workers))
     rng = generator(seed, "bootstrap")
     rows = []
     for q, bound in zip(powers, bounds):

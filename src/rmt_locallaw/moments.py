@@ -97,7 +97,7 @@ class MatchedLaw:
 
     xi' = sqrt(1-gamma) xi_gamma + sqrt(gamma) xi_G matches m3 exactly; the
     fourth-moment gap equals gamma * |R| (see m4_gap_slope) and is below
-    4*gamma exactly on the band |R| <= 4, flagged by bound_asserted.
+    4*gamma exactly on the band |R| <= 4.
     """
 
     xi_gamma: EntryDistribution
@@ -105,7 +105,6 @@ class MatchedLaw:
     achieved_m3: float
     achieved_m4: float
     target: MomentTarget
-    bound_asserted: bool
 
     @property
     def m4_gap(self) -> float:
@@ -141,5 +140,4 @@ def match_four_moments(t: MomentTarget, gamma: float) -> MatchedLaw:
         achieved_m3=m3_out,
         achieved_m4=m4_out,
         target=t,
-        bound_asserted=abs(m4_gap_slope(t.m3, t.m4, gamma)) <= 4.0,
     )

@@ -38,7 +38,7 @@ from .seeding import derive_seed, generator
 
 __all__ = ["ExperimentConfig", "RunManifest", "parse_config", "run", "report", "main", "ARTIFACT_VERSION"]
 
-ARTIFACT_VERSION = "0.7.0"
+ARTIFACT_VERSION = "0.8.0"
 
 _SHAPES = {
     "box": lambda x: 1.0 if 0 <= x < 1 else 0.0,
@@ -404,17 +404,9 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
     return files, statistics, acceptance, headline
 
 
-def _per_sample_eigenvalues(cfg: ExperimentConfig, n: int, tag: str, law: EntryDistribution | None = None):
-    """Eigenvalues of each sample, drawn from derive_seed(cfg.seed, tag, si)
-    with the ensemble's law, or with `law` when one is given."""
-    profile, dist, beta = _ensemble(cfg, n)
-    dist = law or dist
-
-    def _job(si):
-        sm = sample_matrix(profile, dist, beta, derive_seed(cfg.seed, tag, si))
-        return eigh(sm, compute_vectors=False).eigenvalues
-
-    return pmap(_job, list(range(cfg.params["samples"])), cfg.workers)
+def _eigenvalues(_seed, h) -> np.ndarray:
+    """A sample_map reduction: the sample's eigenvalues, ascending."""
+    return eigh(h, compute_vectors=False).eigenvalues
 
 
 def _power(n: int, exponent: float, key: str, coeff: float = 1.0) -> float:
@@ -433,7 +425,8 @@ def _power(n: int, exponent: float, key: str, coeff: float = 1.0) -> float:
 def _exp_rigidity(cfg: ExperimentConfig):
     n = cfg.params["n"]
     thr_value = _power(n, cfg.thresholds["exponent"], "thresholds.exponent")
-    values = [locallaw.rigidity_stat(lam) for lam in _per_sample_eigenvalues(cfg, n, "rigidity")]
+    values = [locallaw.rigidity_stat(lam) for lam in locallaw.sample_map(
+        *_ensemble(cfg, n), cfg.seed, ("rigidity",), cfg.params["samples"], _eigenvalues, cfg.workers)]
     rows = [[si, v] for si, v in enumerate(values)]
     files = {"rigidity.csv": csv_text("rigidity", ["sample_index", "sum_sq_dev"], rows)}
     statistics = {"values": values, "max": max(values), "threshold": thr_value}
@@ -446,12 +439,14 @@ def _exp_counting(cfg: ExperimentConfig):
     n = cfg.params["n"]
     thr = cfg.thresholds
     thr_value = _power(n, thr["power"], "thresholds.power", thr["coeff"]) / n
-    a_exp = cfg.params["a_exponent"]
-    values = [locallaw.counting_gap(lam, a_exp) for lam in _per_sample_eigenvalues(cfg, n, "counting")]
+    profile, dist, beta = _ensemble(cfg, n)
+    a_exp = profile.edge_exponent_a
+    values = [locallaw.counting_gap(lam, a_exp) for lam in locallaw.sample_map(
+        profile, dist, beta, cfg.seed, ("counting",), cfg.params["samples"], _eigenvalues, cfg.workers)]
     passed = sum(v < thr_value for v in values)
     rows = [[si, v, v < thr_value] for si, v in enumerate(values)]
     files = {"counting.csv": csv_text("counting", ["sample_index", "sup_stat", "passed"], rows)}
-    statistics = {"values": values, "pass_fraction": passed / len(values), "threshold": thr_value}
+    statistics = {"values": values, "pass_fraction": passed / len(values), "threshold": thr_value, "a_exponent": a_exp}
     acceptance = {"pass_fraction": passed / len(values) >= thr["min_pass_fraction"]}
     headline = {
         "statistic": f"{passed}/{len(values)} samples with sup |fn-n_sc|*kappa^{a_exp} < {thr_value:.4g}",
@@ -464,7 +459,8 @@ def _exp_edge(cfg: ExperimentConfig):
     n = cfg.params["n"]
     eps = cfg.params["epsilon"]
     _power(n, -1.0 / 6.0 + eps, "epsilon")  # edge_check's n ** (-1/6 + eps), checked before sampling
-    reports = [locallaw.edge_check(lam, eps) for lam in _per_sample_eigenvalues(cfg, n, "edge")]
+    reports = [locallaw.edge_check(lam, eps) for lam in locallaw.sample_map(
+        *_ensemble(cfg, n), cfg.seed, ("edge",), cfg.params["samples"], _eigenvalues, cfg.workers)]
     rows = [[si, r.passed, r.lower_margin, r.upper_margin] for si, r in enumerate(reports)]
     files = {"edge.csv": csv_text("edge", ["sample_index", "passed", "lower_margin", "upper_margin"], rows)}
     statistics = {
@@ -668,10 +664,12 @@ def _exp_zmoments(cfg: ExperimentConfig):
 def _exp_correlations(cfg: ExperimentConfig):
     pr = cfg.params
     n, kcut = pr["n"], pr["kappa_cut"]
+    profile, dist_a, beta = _ensemble(cfg, n)
     dist_b = _resolve_distribution(pr["distribution_b"], "distribution_b")
     pool_a, pool_b = (
-        _gap_pool([stats.unfold(lam, kcut) for lam in _per_sample_eigenvalues(cfg, n, tag, law)], n, kcut, tag)
-        for tag, law in (("a", None), ("b", dist_b))
+        _gap_pool([stats.unfold(lam, kcut) for lam in locallaw.sample_map(
+            profile, law, beta, cfg.seed, (tag,), pr["samples"], _eigenvalues, cfg.workers)], n, kcut, tag)
+        for tag, law in (("a", dist_a), ("b", dist_b))
     )
     ks = stats.ks_distance(stats.EmpiricalCDF(pool_a), stats.EmpiricalCDF(pool_b))
     files = {
@@ -694,7 +692,7 @@ _REGISTRY = {
     ),
     "rigidity": _Experiment(_exp_rigidity, {"n": "count", "samples": "count"}, {}, {"exponent": -1.0 / 7.0}),
     "counting": _Experiment(
-        _exp_counting, {"n": "count", "samples": "count"}, {"a_exponent": 1},
+        _exp_counting, {"n": "count", "samples": "count"}, {},
         {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
     ),
     "edge": _Experiment(_exp_edge, {"n": "count", "samples": "count"}, {"epsilon": 0.05}, {}),

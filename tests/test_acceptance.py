@@ -127,7 +127,7 @@ def test_criterion_4_rigidity(tmp_path):
 
 def test_criterion_5_counting_function(tmp_path):
     _run_configs(tmp_path, "5 counting", 300, {
-        "experiment": "counting", "ensemble": _ens("gaussian"), "n": 1000, "samples": 20, "a_exponent": 1,
+        "experiment": "counting", "ensemble": _ens("gaussian"), "n": 1000, "samples": 20,
         "thresholds": {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
     })
 

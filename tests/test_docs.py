@@ -38,3 +38,10 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     for attr in getattr(module, "__all__", []):
         assert hasattr(module, attr), f"{name}.__all__ lists {attr!r}, which does not exist"
+
+
+def test_pyproject_version_is_the_artifact_version():
+    # a regex, not tomllib: tomllib needs Python 3.11, and the package supports 3.10
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, flags=re.M).group(1) == runner.ARTIFACT_VERSION
+    assert rmt_locallaw.__version__ == runner.ARTIFACT_VERSION

@@ -167,6 +167,21 @@ def test_validate_lists_every_structural_defect():
     assert str(err.value) == "invalid variance profile: largest Sigma eigenvalue 0.5 != 1"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_rejects_variances_that_are_not_finite(bad):
+    var = np.array([[0.5, bad], [bad, 0.5]])
+    with pytest.raises(ValueError, match=r"^invalid variance profile: variances not finite"):
+        VarianceProfile.from_variances(var)
+
+
+def test_sampling_rejects_a_nan_column_sum():
+    # unvalidated, a NaN grid has a NaN column-sum residual, which the guard
+    # must not let through
+    p = VarianceProfile.from_variances(np.array([[0.5, math.nan], [math.nan, 0.5]]), validate=False)
+    with pytest.raises(SamplingError, match="column-sum"):
+        sample_matrix(p, catalog_distribution("gaussian"), 1, seed=1)
+
+
 def test_sample_bernoulli_support_and_symmetry():
     p = wigner_profile(2)
     d = catalog_distribution("bernoulli")

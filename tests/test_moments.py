@@ -9,6 +9,7 @@ from rmt_locallaw.errors import ConfigError, MomentInfeasibleError
 from rmt_locallaw.moments import (
     MomentTarget,
     gaussian_divisible_transform,
+    m4_gap_slope,
     match_four_moments,
     three_point_construct,
 )
@@ -96,7 +97,8 @@ def test_match_bernoulli_small_gamma():
     assert law.achieved_m4 == pytest.approx(1.0398, abs=1e-12)
     assert law.m4_gap == pytest.approx(0.0398, abs=1e-12)
     assert law.m4_gap <= 4 * 0.01
-    assert law.bound_asserted
+    m3, m4, gamma = 0.0, 1.0, 0.01
+    assert abs(m4_gap_slope(m3, m4, gamma)) <= 4.0
 
 
 def test_match_gap_vanishes_with_gamma():
@@ -112,25 +114,24 @@ def test_match_gaussian_target_exact():
 
 def test_match_third_moment_exact_on_grid():
     rng = np.random.default_rng(31)
-    from rmt_locallaw.moments import m4_gap_slope
-
     for _ in range(50):
         m3 = float(rng.uniform(-1.0, 1.0))
         m4 = float(rng.uniform(m3 * m3 + 1.0, 6.0))
-        for g in (0.001, 0.01, 0.1):
-            law = match_four_moments(MomentTarget(m3, m4), g)
+        for gamma in (0.001, 0.01, 0.1):
+            law = match_four_moments(MomentTarget(m3, m4), gamma)
             assert abs(law.achieved_m3 - m3) <= 1e-12
-            assert law.m4_gap == pytest.approx(abs(g * m4_gap_slope(m3, m4, g)), abs=1e-12)
-            if law.bound_asserted:
-                assert law.m4_gap <= 4 * g + 1e-12
+            assert law.m4_gap == pytest.approx(abs(gamma * m4_gap_slope(m3, m4, gamma)), abs=1e-12)
+            if abs(m4_gap_slope(m3, m4, gamma)) <= 4.0:
+                assert law.m4_gap <= 4 * gamma + 1e-12
             else:
-                assert law.m4_gap > 4 * g - 1e-12
+                assert law.m4_gap > 4 * gamma - 1e-12
 
 
 def test_match_reports_outside_band():
-    law = match_four_moments(MomentTarget(0.0, 10.0), 0.1)
-    assert not law.bound_asserted
-    assert law.m4_gap > 4 * 0.1  # the 4*gamma constant provably fails here
+    m3, m4, gamma = 0.0, 10.0, 0.1
+    law = match_four_moments(MomentTarget(m3, m4), gamma)
+    assert not abs(m4_gap_slope(m3, m4, gamma)) <= 4.0
+    assert law.m4_gap > 4 * gamma  # the 4*gamma constant provably fails here
 
 
 def test_match_rejects_bad_gamma():

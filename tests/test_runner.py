@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from _peak import traced_peak
 from rmt_locallaw import locallaw, runner
-from rmt_locallaw.ensembles import catalog_distribution, wigner_profile
+from rmt_locallaw.ensembles import catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import ConfigError
+from rmt_locallaw.linalg import eigh
 from rmt_locallaw.moments import MomentTarget, match_four_moments
 from rmt_locallaw.runner import (
     RunManifest,
@@ -27,7 +28,7 @@ from rmt_locallaw.runner import (
     report,
     run,
 )
-from rmt_locallaw.seeding import generator
+from rmt_locallaw.seeding import derive_seed, generator
 
 
 def minimal_config(**overrides):
@@ -71,6 +72,7 @@ BAD_VALUES = [
      "unknown key 'report_sweep_m4_max'"),
     (config("locallaw-scan", sizes=[50], samples=1, variant="D"), "unknown key 'variant'"),
     (config("locallaw-scan", sizes=[50], samples=1, log_alpha=1.0), "unknown key 'log_alpha'"),
+    (config("counting", n=20, samples=1, a_exponent=1), "unknown key 'a_exponent'"),
     (config("moments-match", grid_count=1, gammas=[1.0], mc_draws=0), "gammas must be"),
     (minimal_config(ensemble={"profile": "foo"}), "ensemble.profile must be"),
     (minimal_config(ensemble={"profile": "band", "band_shape": "foo"}), "ensemble.band_shape must be"),
@@ -543,9 +545,12 @@ def test_dbm_gaps_job_holds_three_matrices_and_row_blocks(beta):
 
 
 def _diagnostics_job_peak(n: int) -> int:
-    return traced_peak(lambda: locallaw._per_sample_diagnostics(
-        wigner_profile(n), catalog_distribution("bernoulli"), 2, 1, 1, [complex(0.3, n**-0.8)],
-        lambda _seed, _z, diag: diag.upsilon_max, 1))
+    def job():
+        p = wigner_profile(n)
+        return locallaw.sample_map(p, catalog_distribution("bernoulli"), 2, 1, (), 1,
+                                   lambda _seed, h: locallaw.diagnostics(h, p, complex(0.3, n**-0.8)).upsilon_max, 1)
+
+    return traced_peak(job)
 
 
 def test_diagnostics_job_holds_its_sample_its_resolvent_and_row_blocks():
@@ -554,6 +559,21 @@ def test_diagnostics_job_holds_its_sample_its_resolvent_and_row_blocks():
     _diagnostics_job_peak(64)
     n = 600
     assert _diagnostics_job_peak(n) < 2 * 16 * n * n + 2 * 16 * 64 * n
+
+
+@pytest.mark.parametrize("profile, a_exp", [({"profile": "wigner"}, 1),
+                                            ({"profile": "band", "band_w": 8, "band_shape": "triangle"}, 2)])
+def test_counting_takes_its_edge_exponent_from_the_profile(tmp_path, profile, a_exp):
+    # a triangle band profile has zero variances off its band, so A = 2
+    ens = {**profile, "distribution": "bernoulli", "beta": 2}
+    n, samples = 60, 2
+    m = run(parse_config(config("counting", n=n, samples=samples, ensemble=ens)), str(tmp_path))
+    p = runner._build_profile(ens, n)
+    spectra = [eigh(sample_matrix(p, catalog_distribution("bernoulli"), 2, derive_seed(7, "counting", si)),
+                    compute_vectors=False) for si in range(samples)]
+    assert p.edge_exponent_a == a_exp and m.statistics["a_exponent"] == a_exp
+    assert m.statistics["values"] == [locallaw.counting_gap(lam, a_exp) for lam in spectra]
+    assert m.statistics["values"] != [locallaw.counting_gap(lam, 3 - a_exp) for lam in spectra]
 
 
 def test_moment_target_grid_is_feasible_and_capped():
@@ -571,7 +591,7 @@ _GAUSS = {"profile": "wigner", "distribution": "gaussian", "beta": 2}
 FUZZ_CONFIGS = {
     "locallaw-scan": {"ensemble": _GAUSS, "sizes": [30, 40], "samples": 2},
     "rigidity": {"ensemble": _BAND, "n": 40, "samples": 2},
-    "counting": {"ensemble": _GAUSS, "n": 40, "samples": 2, "a_exponent": 1},
+    "counting": {"ensemble": _GAUSS, "n": 40, "samples": 2},
     "edge": {"ensemble": _BAND, "n": 40, "samples": 2, "epsilon": 0.05},
     "dbm-gaps": {"ensemble": _BAND, "n": 40, "samples": 2, "times": [0.0, 0.5], "kappa_cut": 0.5},
     "moments-match": {"grid_count": 4, "gammas": [0.01, 0.1], "mc_draws": 2000},
