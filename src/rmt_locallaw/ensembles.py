@@ -72,9 +72,9 @@ class VarianceProfile:
         """Profile of a variance grid. `spectrum` is Spec(Sigma) when the caller
         knows it in closed form; otherwise a dense eigvalsh computes it.
 
-        With `validate`, a structural defect (entries that are not finite,
-        asymmetry, column sums, negativity, a spectrum outside [-1, 1] or
-        without its eigenvalue 1) is a ValueError listing every defect found.
+        With `validate`, entries that are not finite, or else any structural
+        defect (asymmetry, column sums, negativity, a spectrum outside [-1, 1]
+        or without its eigenvalue 1), is a ValueError listing what was found.
         The spectral-gap conditions are not checked: a degenerate but
         stochastic profile is still samplable, and delta_plus, delta_minus
         and edge_exponent_a report it."""
@@ -107,8 +107,10 @@ class VarianceProfile:
             profile_id=profile_id,
         )
         if validate:
-            # a NaN passes every comparison below, so it is named here
-            violations = [] if math.isfinite(vmin) and math.isfinite(vmax) else ["variances not finite"]
+            # a NaN passes every comparison below, and inf - inf warns: such a grid gets no residual check
+            if not (math.isfinite(vmin) and math.isfinite(vmax)):
+                raise ValueError("invalid variance profile: variances not finite")
+            violations = []
             # max |var - var^T|, over the row blocks on and above the
             # diagonal against their mirror column blocks: no n x n
             # temporary, and no transposed read of the whole grid

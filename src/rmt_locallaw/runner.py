@@ -18,13 +18,14 @@ import errno
 import hashlib
 import json
 import math
+import operator
 import os
 import resource
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -259,15 +260,34 @@ def _ensemble(cfg: ExperimentConfig, n: int):
 # each manifest field and the type `report` reads it as
 _MANIFEST_TYPES = {
     "experiment": str, "config": dict, "artifact_version": str, "wall_clock_s": (int, float), "digests": dict,
-    "acceptance": dict, "statistics": dict, "headline": dict, "environment": dict,
+    "acceptance": dict, "statistics": dict, "clauses": list, "environment": dict,
 }
+_OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+class Clause(NamedTuple):
+    """One acceptance clause: it passes when `value op threshold`, op one of
+    "<", "<=" and ">=", value the binding statistic (the max or min compared)."""
+
+    name: str
+    value: float
+    op: str
+    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return _OPS[self.op](self.value, self.threshold)
+
+    @property
+    def margin(self) -> float:  # positive on the passing side; 0 passes "<=" and ">=" but fails "<"
+        return self.value - self.threshold if self.op == ">=" else self.threshold - self.value
 
 
 @dataclass
 class RunManifest:
-    """Run record: config echo, digests of every output, pass/fail clauses,
-    and the environment the run had (BLAS builds and threads, workers,
-    cores, versions), which affects speed only."""
+    """Run record: config echo, output digests, each clause's verdict (`acceptance`)
+    and value, threshold and margin (`clauses`), and the environment the run had
+    (BLAS builds and threads, workers, cores, versions), which affects speed only."""
 
     experiment: str
     config: dict
@@ -276,7 +296,7 @@ class RunManifest:
     digests: dict
     acceptance: dict
     statistics: dict
-    headline: dict = field(default_factory=dict)
+    clauses: list
     environment: dict = field(default_factory=dict)
 
     @property
@@ -284,37 +304,36 @@ class RunManifest:
         return all(self.acceptance.values())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "experiment": self.experiment,
-                "config": self.config,
-                "artifact_version": self.artifact_version,
-                "wall_clock_s": self.wall_clock_s,
-                "digests": self.digests,
-                "acceptance": self.acceptance,
-                "statistics": self.statistics,
-                "headline": self.headline,
-                "environment": self.environment,
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        return json.dumps({key: getattr(self, key) for key in _MANIFEST_TYPES}, sort_keys=True, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Read a manifest; a document that is not one is a ConfigError."""
+        """Read a manifest; a document that is not one, or whose verdicts
+        cannot be trusted, is a ConfigError naming the key."""
         try:
             doc = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python converts
             raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("manifest must be a JSON object")
-        doc = {"headline": {}, "environment": {}, **doc}  # manifests written before these fields existed
+        doc = {"clauses": [], "environment": {}, **doc}  # manifests written before these fields existed
         for key, kind in _MANIFEST_TYPES.items():
             if key not in doc:
                 raise ConfigError(f"manifest has no key {key!r}")
             if not isinstance(doc[key], kind):
                 raise ConfigError(f"manifest key {key!r} has the wrong type ({type(doc[key]).__name__})")
+        if not _is_number(doc["wall_clock_s"]):
+            raise ConfigError(f"manifest key 'wall_clock_s' must be a finite number, got {doc['wall_clock_s']!r}")
+        acceptance = doc["acceptance"]
+        if not acceptance or not all(isinstance(v, bool) for v in acceptance.values()):
+            raise ConfigError(f"manifest key 'acceptance' must map clause names to true or false, got {acceptance!r}")
+        for c in doc["clauses"]:  # well formed, and its comparison gives the verdict and margin recorded
+            clause = (isinstance(c, dict) and c.keys() == {*Clause._fields, "margin"} and isinstance(c["name"], str)
+                      and c["op"] in tuple(_OPS) and all(_is_number(c[k]) for k in ("value", "threshold", "margin"))
+                      and Clause(*(c[k] for k in Clause._fields)))
+            if not (clause and clause.passed is acceptance.get(clause.name) and clause.margin == c["margin"]):
+                raise ConfigError(f"manifest key 'clauses' has a malformed entry, or one that 'acceptance' "
+                                  f"contradicts: {c!r}")
         return cls(**{key: doc[key] for key in _MANIFEST_TYPES})
 
 
@@ -352,8 +371,8 @@ def _digest(data: str | bytes) -> str:
 
 
 # --- experiment bodies ------------------------------------------------------
-# Each returns (files: name -> text, statistics: dict, acceptance: dict,
-# headline: dict); `run` handles writing, digesting and the manifest.
+# Each returns (files: name -> text, statistics: dict, clauses: [Clause]);
+# `run` handles writing, digesting, the verdicts and the manifest.
 
 
 def _exp_locallaw_scan(cfg: ExperimentConfig):
@@ -392,16 +411,12 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
         "median_sqrt_meta_lambda_d": medians_ld,
         "flatness_ratio": flatness,
     }
-    acceptance = {
-        "median_meta_m_err": all(v < thr["median_meta_m_err_max"] for v in medians_meta.values()),
-        "flatness": flatness < thr["flatness_ratio_max"],
-        "median_sqrt_meta_lambda_d": all(v < thr["median_sqrt_meta_lambda_d_max"] for v in medians_ld.values()),
-    }
-    headline = {
-        "statistic": f"max median M*eta*|m-msc| = {max(medians_meta.values()):.3g}, flatness {flatness:.3g}",
-        "threshold": f"< {thr['median_meta_m_err_max']}, flatness < {thr['flatness_ratio_max']}",
-    }
-    return files, statistics, acceptance, headline
+    clauses = [
+        Clause("median_meta_m_err", max(medians_meta.values()), "<", thr["median_meta_m_err_max"]),
+        Clause("flatness", flatness, "<", thr["flatness_ratio_max"]),
+        Clause("median_sqrt_meta_lambda_d", max(medians_ld.values()), "<", thr["median_sqrt_meta_lambda_d_max"]),
+    ]
+    return files, statistics, clauses
 
 
 def _eigenvalues(_seed, h) -> np.ndarray:
@@ -430,9 +445,7 @@ def _exp_rigidity(cfg: ExperimentConfig):
     rows = [[si, v] for si, v in enumerate(values)]
     files = {"rigidity.csv": csv_text("rigidity", ["sample_index", "sum_sq_dev"], rows)}
     statistics = {"values": values, "max": max(values), "threshold": thr_value}
-    acceptance = {"all_below_threshold": all(v < thr_value for v in values)}
-    headline = {"statistic": f"max sum_j (lambda_j-gamma_j)^2 = {max(values):.4g}", "threshold": f"< {thr_value:.4g}"}
-    return files, statistics, acceptance, headline
+    return files, statistics, [Clause("all_below_threshold", statistics["max"], "<", thr_value)]
 
 
 def _exp_counting(cfg: ExperimentConfig):
@@ -447,12 +460,7 @@ def _exp_counting(cfg: ExperimentConfig):
     rows = [[si, v, v < thr_value] for si, v in enumerate(values)]
     files = {"counting.csv": csv_text("counting", ["sample_index", "sup_stat", "passed"], rows)}
     statistics = {"values": values, "pass_fraction": passed / len(values), "threshold": thr_value, "a_exponent": a_exp}
-    acceptance = {"pass_fraction": passed / len(values) >= thr["min_pass_fraction"]}
-    headline = {
-        "statistic": f"{passed}/{len(values)} samples with sup |fn-n_sc|*kappa^{a_exp} < {thr_value:.4g}",
-        "threshold": f">= {thr['min_pass_fraction']:.0%}",
-    }
-    return files, statistics, acceptance, headline
+    return files, statistics, [Clause("pass_fraction", statistics["pass_fraction"], ">=", thr["min_pass_fraction"])]
 
 
 def _exp_edge(cfg: ExperimentConfig):
@@ -467,12 +475,7 @@ def _exp_edge(cfg: ExperimentConfig):
         "threshold": reports[0].threshold,
         "min_margin": min(min(r.lower_margin, r.upper_margin) for r in reports),
     }
-    acceptance = {"all_contained": all(r.passed for r in reports)}
-    headline = {
-        "statistic": f"min edge margin {statistics['min_margin']:.4g}",
-        "threshold": f"spectrum within +-{reports[0].threshold:.4g}",
-    }
-    return files, statistics, acceptance, headline
+    return files, statistics, [Clause("all_contained", statistics["min_margin"], ">=", 0.0)]
 
 
 def _gap_pool(gaps: list, n: int, kappa_cut: float, name: str) -> np.ndarray:
@@ -528,13 +531,12 @@ def _exp_dbm_gaps(cfg: ExperimentConfig):
         "worst_ks": worst,
         "ou_coefficient_residual": coeff_residual,
     }
-    acceptance = {
-        "pairwise_ks": worst < cfg.thresholds["ks_max"],
-        "pooled_gap_count": all(p.size >= cfg.thresholds["min_gaps"] for p in pools),
-        "ou_coefficient_identity": coeff_residual < 1e-15,
-    }
-    headline = {"statistic": f"worst pairwise gap KS {worst:.4g}", "threshold": f"< {cfg.thresholds['ks_max']}"}
-    return files, statistics, acceptance, headline
+    clauses = [
+        Clause("pairwise_ks", worst, "<", cfg.thresholds["ks_max"]),
+        Clause("pooled_gap_count", min(p.size for p in pools), ">=", cfg.thresholds["min_gaps"]),
+        Clause("ou_coefficient_identity", coeff_residual, "<", 1e-15),
+    ]
+    return files, statistics, clauses
 
 
 def moment_target_grid(count: int, gammas) -> list:
@@ -587,9 +589,10 @@ def _mc_power_stats(chunks) -> list:
     return [(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)) for n, mean, m2 in running]
 
 
-def _mc_moments_ok(law, chunks, sigma: float) -> bool:
-    """Sample means of x^3 and x^4 within sigma standard errors of the law's moments."""
-    return all(abs(mean - target) <= sigma * se
+def _mc_slack(law, chunks, sigma: float) -> float:
+    """max over x^3 and x^4 of |sample mean - the law's moment| - sigma * its standard
+    error; <= 0 when both sample means are within sigma standard errors."""
+    return max(abs(mean - target) - sigma * se
                for (mean, se), target in zip(_mc_power_stats(chunks), (law.achieved_m3, law.achieved_m4)))
 
 
@@ -604,20 +607,17 @@ def _exp_moments_match(cfg: ExperimentConfig):
         # law k draws from its own stream, so results do not depend on scheduling
         t, g = laws[k]
         law = moments.match_four_moments(t, g)
-        mc_ok = pr["mc_draws"] == 0 or _mc_moments_ok(
+        # without draws there is nothing to miss: slack 0, which passes
+        mc_slack = 0.0 if pr["mc_draws"] == 0 else _mc_slack(
             law, law.to_distribution().draw_chunks(generator(cfg.seed, "mc", k), pr["mc_draws"]), thr["mc_sigma"]
         )
-        return law, mc_ok
+        return law, mc_slack
 
-    rows = []
-    ok_m3 = ok_m4 = ok_mc = True
-    for (t, g), (law, mc_ok) in zip(laws, pmap(_job, range(len(laws)), cfg.workers)):
+    rows, mc_slacks = [], []
+    for (t, g), (law, mc_slack) in zip(laws, pmap(_job, range(len(laws)), cfg.workers)):
+        mc_slacks.append(mc_slack)
         m3_err = abs(law.achieved_m3 - t.m3)
-        gap = law.m4_gap
-        ok_m3 &= m3_err <= thr["m3_tol"]
-        ok_m4 &= gap <= thr["m4_gap_coeff"] * g + 1e-12
-        ok_mc &= mc_ok
-        rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, gap, mc_ok])
+        rows.append([t.m3, t.m4, g, law.achieved_m3, law.achieved_m4, m3_err, law.m4_gap, mc_slack <= 0])
     sweep_worst = 0.0
     for m3 in np.linspace(-_SWEEP_M3_MAX, _SWEEP_M3_MAX, 9):
         for m4 in np.linspace(1.0 + m3 * m3, _SWEEP_M4_MAX, 9):
@@ -635,12 +635,13 @@ def _exp_moments_match(cfg: ExperimentConfig):
         "worst_m4_gap_over_gamma": max(r[6] / r[2] for r in rows),
         "report_sweep_m4_gap_over_gamma": sweep_worst,
     }
-    acceptance = {"m3_exact": ok_m3, "m4_within_4gamma": ok_m4, "mc_moments": ok_mc}
-    headline = {
-        "statistic": f"worst |dm4|/gamma on grid = {statistics['worst_m4_gap_over_gamma']:.3g}",
-        "threshold": f"<= {thr['m4_gap_coeff']}",
-    }
-    return files, statistics, acceptance, headline
+    # a row passed m3_err <= m3_tol, m4_gap <= coeff * gamma + 1e-12, mc_slack <= 0; a <= b iff a - b <= 0
+    clauses = [
+        Clause("m3_exact", max(r[5] for r in rows), "<=", thr["m3_tol"]),
+        Clause("m4_within_4gamma", max(r[6] - (thr["m4_gap_coeff"] * r[2] + 1e-12) for r in rows), "<=", 0.0),
+        Clause("mc_moments", max(mc_slacks), "<=", 0.0),
+    ]
+    return files, statistics, clauses
 
 
 def _exp_zmoments(cfg: ExperimentConfig):
@@ -656,9 +657,7 @@ def _exp_zmoments(cfg: ExperimentConfig):
     rows = [[r["p"], r["moment"], r["stderr"], r["bound"], r["ratio"]] for r in moment_rows]
     files = {"zmoments.csv": csv_text("zmoments", ["p", "moment", "stderr", "bound", "ratio"], rows)}
     statistics = {"x_value": locallaw.x_control(n, profile.m_param, z, pr["log_alpha"]), "rows": moment_rows}
-    acceptance = {"p2_ratio_below_max": ratio < cfg.thresholds["ratio_max"]}
-    headline = {"statistic": f"E|Z-avg|^2 / bound = {ratio:.3g}", "threshold": f"< {cfg.thresholds['ratio_max']}"}
-    return files, statistics, acceptance, headline
+    return files, statistics, [Clause("p2_ratio_below_max", ratio, "<", cfg.thresholds["ratio_max"])]
 
 
 def _exp_correlations(cfg: ExperimentConfig):
@@ -677,9 +676,7 @@ def _exp_correlations(cfg: ExperimentConfig):
         "correlations-gaps-b.csv": csv_text("gap-pool-b", ["gap"], [[float(g)] for g in np.sort(pool_b)]),
     }
     statistics = {"ks": ks, "gaps_a": int(pool_a.size), "gaps_b": int(pool_b.size)}
-    acceptance = {"gap_cdf_ks": ks < cfg.thresholds["ks_max"]}
-    headline = {"statistic": f"unfolded bulk gap KS {ks:.4g}", "threshold": f"< {cfg.thresholds['ks_max']}"}
-    return files, statistics, acceptance, headline
+    return files, statistics, [Clause("gap_cdf_ks", ks, "<", cfg.thresholds["ks_max"])]
 
 
 _REGISTRY = {
@@ -748,7 +745,7 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
     if not os.path.isdir(existing):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
     wall0, cpu0 = time.monotonic(), time.process_time()
-    files, statistics, acceptance, headline = _REGISTRY[cfg.experiment].body(cfg)
+    files, statistics, clauses = _REGISTRY[cfg.experiment].body(cfg)
     wall1, cpu1 = time.monotonic(), time.process_time()
     os.makedirs(outdir, exist_ok=True)
     summary = json.dumps({"config": json.loads(cfg.to_json()), "statistics": statistics}, sort_keys=True, indent=1)
@@ -768,9 +765,9 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
         artifact_version=ARTIFACT_VERSION,
         wall_clock_s=time.monotonic() - wall0,
         digests=digests,
-        acceptance=acceptance,
+        acceptance={c.name: c.passed for c in clauses},
         statistics=statistics,
-        headline=headline,
+        clauses=[{**c._asdict(), "margin": c.margin} for c in clauses],
         environment=_environment(cfg, timings),
     )
     _atomic_write(os.path.join(outdir, f"{cfg.experiment}.manifest.json"), manifest.to_json())
@@ -778,23 +775,22 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
 
 
 def report(manifests) -> str:
-    """Aggregate summary table, one row per experiment manifest."""
+    """Aggregate summary table, one row per acceptance clause of each manifest: its value,
+    threshold and margin (blank in a manifest older than clauses) and its verdict."""
     manifests = list(manifests)
     if not manifests:
         raise ConfigError("report needs at least one manifest")
-    rows = []
+    rows = [("experiment", "clause", "value", "threshold", "margin", "status", "runtime")]
     for m in manifests:
-        stat = m.headline.get("statistic") or next(iter(m.statistics.items()), ("", ""))[1]
-        thr = m.headline.get("threshold", "")
-        rows.append((m.experiment, str(stat), str(thr), "PASS" if m.all_passed else "FAIL", f"{m.wall_clock_s:.1f}s"))
-    widths = [max(len(r[i]) for r in rows + [("experiment", "statistic", "threshold", "status", "runtime")]) for i in range(5)]
-    lines = []
-    header = ("experiment", "statistic", "threshold", "status", "runtime")
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    overall = "PASS" if all(m.all_passed for m in manifests) else "FAIL"
-    lines.append(f"overall: {overall}")
+        clauses = {c["name"]: c for c in m.clauses}
+        for name in {**clauses, **m.acceptance}:  # the clauses in the order the experiment declares them
+            c = clauses.get(name)
+            cells = (f"{c['value']:.4g}", f"{c['op']} {c['threshold']:.4g}", f"{c['margin']:+.4g}") if c else ("",) * 3
+            status = "PASS" if m.acceptance[name] else "FAIL"
+            rows.append((m.experiment, name, *cells, status, f"{m.wall_clock_s:.1f}s"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows]
+    lines.append("overall: " + ("PASS" if all(m.all_passed for m in manifests) else "FAIL"))
     return "\n".join(lines)
 
 

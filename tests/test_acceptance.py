@@ -92,7 +92,8 @@ def _ens(dist):
 
 
 def _run_configs(tmp_path, name, budget, *docs):
-    """Run frozen configs through the runner; the line quotes each manifest headline."""
+    """Run frozen configs through the runner; the line quotes each manifest clause
+    with its value, threshold and margin."""
     t0 = time.monotonic()
     manifests = [
         runner.run(runner.parse_config(json.dumps({"seed": SEED, **doc})), str(tmp_path / str(i)))
@@ -101,7 +102,8 @@ def _run_configs(tmp_path, name, budget, *docs):
     elapsed = time.monotonic() - t0
     detail = "; ".join(
         (f"{doc['ensemble']['distribution']}: " if len(docs) > 1 else "")
-        + f"{m.headline['statistic']} {m.headline['threshold']}"
+        + ", ".join(f"{c['name']} {c['value']:.4g} {c['op']} {c['threshold']:.4g} (margin {c['margin']:+.3g})"
+                    for c in m.clauses)
         for doc, m in zip(docs, manifests)
     )
     _record(name, all(m.all_passed for m in manifests), detail, elapsed, budget)

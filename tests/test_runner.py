@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -270,16 +271,20 @@ def test_report_table(tmp_path):
     cfg = parse_config(minimal_config())
     m = run(cfg, str(tmp_path))
     text = report([m])
-    assert "rigidity" in text
-    assert "PASS" in text and "overall: PASS" in text
-    for line in text.splitlines()[1:-1]:
-        assert line.split()[1]  # statistic column never empty
+    (c,) = m.clauses
+    header, row, overall = text.splitlines()
+    assert header.split() == ["experiment", "clause", "value", "threshold", "margin", "status", "runtime"]
+    assert row.split()[:7] == ["rigidity", "all_below_threshold", f"{c['value']:.4g}", "<", f"{c['threshold']:.4g}",
+                               f"{c['margin']:+.4g}", "PASS"]
+    assert overall == "overall: PASS"
+    # one row per clause; a manifest written before clauses were recorded has blank value cells
     failing = RunManifest(
         experiment="edge", config={}, artifact_version="0", wall_clock_s=0.1,
-        digests={}, acceptance={"x": False}, statistics={}, headline={"statistic": "s", "threshold": "t"},
+        digests={}, acceptance={"x": False, "y": True}, statistics={}, clauses=[],
     )
-    mixed = report([m, failing])
-    assert "FAIL" in mixed and "overall: FAIL" in mixed
+    mixed = report([m, failing]).splitlines()
+    assert [line.split() for line in mixed[2:4]] == [["edge", "x", "FAIL", "0.1s"], ["edge", "y", "PASS", "0.1s"]]
+    assert mixed[-1] == "overall: FAIL"
     with pytest.raises(ConfigError):
         report([])
 
@@ -457,8 +462,16 @@ def test_main_report_subcommand(tmp_path, capsys):
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
 
-    # a file that is not a manifest: one line naming the key or the problem
+    # a manifest written before clauses were recorded, with the headline it had then, is still read
+    good = json.loads((out / "rigidity.manifest.json").read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**{k: v for k, v in good.items() if k != "clauses"}, "headline": {"statistic": "s"}}))
+    assert main(["report", str(old)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[:3] == ["rigidity", "all_below_threshold", "PASS"]
+
+    # a file that is not a manifest, or whose verdicts cannot be trusted: one line naming the key or the problem
     path = tmp_path / "m.json"
+    (clause,) = good["clauses"]
     for data, message in [
         (b'{"experiment": "rigidity"}', "manifest has no key 'config'"),
         (b"[1, 2]", "manifest must be a JSON object"),
@@ -467,21 +480,25 @@ def test_main_report_subcommand(tmp_path, capsys):
         (b"{not json", "manifest is not valid JSON"),
         (b'{"experiment": "edge", "wall_clock_s": ' + b"9" * 5000 + b"}", "manifest is not valid JSON"),
         (b"\xff\xfe{", f"{path} is not UTF-8 text"),
+        (json.dumps({**good, "wall_clock_s": float("nan")}).encode(), "manifest key 'wall_clock_s' must be a finite"),
+        (json.dumps({**good, "acceptance": {}}).encode(), "manifest key 'acceptance' must map"),
+        (json.dumps({**good, "acceptance": {"all_below_threshold": "no"}}).encode(), "manifest key 'acceptance' must"),
+        (json.dumps({**good, "clauses": {}}).encode(), "manifest key 'clauses' has the wrong type"),
+        *((json.dumps({**good, "clauses": [bad]}).encode(), "manifest key 'clauses' has a malformed entry")
+          for bad in [
+              1, {**clause, "op": "=="}, {**clause, "op": ["<"]}, {**clause, "name": ["x"]},
+              {k: v for k, v in clause.items() if k != "margin"}, {**clause, "extra": 1},
+              {**clause, "value": "0.1"}, {**clause, "value": True}, {**clause, "threshold": float("inf")},
+              {**clause, "margin": -clause["margin"]},  # a margin its value and threshold do not give
+              {**clause, "op": ">="},  # a comparison that gives the opposite of the recorded verdict
+              {**clause, "name": "x"},  # a clause with no verdict
+          ]),
     ]:
         path.write_bytes(data)
         assert main(["report", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and message in captured.err
-
-
-def test_acceptance_failure_exit_code(tmp_path):
-    cfg = parse_config(minimal_config(thresholds={"exponent": -5.0}))  # impossible threshold
-    manifest = run(cfg, str(tmp_path))
-    assert not manifest.all_passed
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(minimal_config(thresholds={"exponent": -5.0}))
-    assert main(["rigidity", "-c", str(cfg_path), "-o", str(tmp_path / "o")]) == 1
 
 
 def _dense_power_stats(draws):
@@ -507,14 +524,14 @@ def test_streamed_moment_check_matches_the_dense_form(size):
             assert z == pytest.approx(z_d, rel=1e-9)
             for sigma in (0.5, 1.0, 2.0, 5.0):
                 assert (abs(mean - target) <= sigma * se) == (abs(mean_d - target) <= sigma * se_d)
-        assert runner._mc_moments_ok(law, chunks, 5.0) == all(
+        assert (runner._mc_slack(law, chunks, 5.0) <= 0) == all(
             abs(m - t) <= 5.0 * e for (m, e), t in zip(dense, (law.achieved_m3, law.achieved_m4))
         )
 
 
 def _mc_check_peak(draws: int) -> int:
     law = match_four_moments(MomentTarget(0.9, 5.0), 0.01)
-    return traced_peak(lambda: runner._mc_moments_ok(
+    return traced_peak(lambda: runner._mc_slack(
         law, law.to_distribution().draw_chunks(generator(12, "mc"), draws), 5.0))
 
 
@@ -632,6 +649,113 @@ def test_main_exit_code_is_total_on_mutated_configs(tag, data):
             code = main([tag, "-c", cfg_path, "-o", os.path.join(tmp, "out")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _csv_rows(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def _clauses_from_outputs(tag: str, out: pathlib.Path) -> dict:
+    """name -> (value, op, threshold, verdict) of each clause of a run, recomputed
+    from its summary statistics and CSV files. The verdict is taken row by row
+    (all rows below the bound), apart from the clause's max or min. The Monte
+    Carlo clause's value is in no file (None); its verdict is the CSV's mc_ok."""
+    summary = json.loads((out / f"{tag}.summary.json").read_text())
+    st, thr = summary["statistics"], summary["config"]["thresholds"]
+    if tag == "locallaw-scan":
+        meta, ld = st["median_meta_m_err"].values(), st["median_sqrt_meta_lambda_d"].values()
+        return {
+            "median_meta_m_err": (max(meta), "<", thr["median_meta_m_err_max"],
+                                  all(v < thr["median_meta_m_err_max"] for v in meta)),
+            "flatness": (st["flatness_ratio"], "<", thr["flatness_ratio_max"],
+                         st["flatness_ratio"] < thr["flatness_ratio_max"]),
+            "median_sqrt_meta_lambda_d": (max(ld), "<", thr["median_sqrt_meta_lambda_d_max"],
+                                          all(v < thr["median_sqrt_meta_lambda_d_max"] for v in ld)),
+        }
+    if tag == "rigidity":
+        values = [float(r["sum_sq_dev"]) for r in _csv_rows(out / "rigidity.csv")]
+        return {"all_below_threshold": (max(values), "<", st["threshold"], all(v < st["threshold"] for v in values))}
+    if tag == "counting":
+        passed = [r["passed"] == "True" for r in _csv_rows(out / "counting.csv")]
+        fraction = sum(passed) / len(passed)
+        return {"pass_fraction": (fraction, ">=", thr["min_pass_fraction"], fraction >= thr["min_pass_fraction"])}
+    if tag == "edge":
+        rows = _csv_rows(out / "edge.csv")
+        low = min(min(float(r["lower_margin"]), float(r["upper_margin"])) for r in rows)
+        return {"all_contained": (low, ">=", 0.0, all(r["passed"] == "True" for r in rows))}
+    if tag == "dbm-gaps":
+        worst, smallest = max(st["ks_matrix"].values(), default=0.0), min(st["pooled_gaps"].values())
+        return {
+            "pairwise_ks": (worst, "<", thr["ks_max"], worst < thr["ks_max"]),
+            "pooled_gap_count": (smallest, ">=", thr["min_gaps"],
+                                 all(c >= thr["min_gaps"] for c in st["pooled_gaps"].values())),
+            "ou_coefficient_identity": (st["ou_coefficient_residual"], "<", 1e-15,
+                                        st["ou_coefficient_residual"] < 1e-15),
+        }
+    if tag == "moments-match":
+        rows = [{k: float(v) if k != "mc_ok" else v == "True" for k, v in r.items()}
+                for r in _csv_rows(out / "moments-match.csv")]
+        bound = [thr["m4_gap_coeff"] * r["gamma"] + 1e-12 for r in rows]
+        return {
+            "m3_exact": (max(r["m3_err"] for r in rows), "<=", thr["m3_tol"],
+                         all(r["m3_err"] <= thr["m3_tol"] for r in rows)),
+            "m4_within_4gamma": (max(r["m4_gap"] - b for r, b in zip(rows, bound)), "<=", 0.0,
+                                 all(r["m4_gap"] <= b for r, b in zip(rows, bound))),
+            "mc_moments": (None, "<=", 0.0, all(r["mc_ok"] for r in rows)),
+        }
+    if tag == "zmoments":
+        (ratio,) = [r["ratio"] for r in st["rows"] if r["p"] == 2]
+        return {"p2_ratio_below_max": (ratio, "<", thr["ratio_max"], ratio < thr["ratio_max"])}
+    assert tag == "correlations"
+    return {"gap_cdf_ks": (st["ks"], "<", thr["ks_max"], st["ks"] < thr["ks_max"])}
+
+
+_SPARSE_LAW = {"atoms": [[-10.0, 0.005], [0.0, 0.99], [10.0, 0.005]]}  # m4 = 100
+# per tag, config changes that make the named clause fail: a threshold past the
+# value it bounds; edge has no threshold key, so its allowance n^(-1/6+epsilon)
+# goes to 0 and a sparse law puts the spectrum past +-2
+FAILING = {
+    "locallaw-scan": ("median_meta_m_err", {"thresholds": {"median_meta_m_err_max": 0.0}}),
+    "rigidity": ("all_below_threshold", {"thresholds": {"exponent": -5.0}}),
+    "counting": ("pass_fraction", {"thresholds": {"coeff": 0.0}}),
+    "edge": ("all_contained", {"epsilon": -100, "ensemble": {"profile": "wigner", "distribution": _SPARSE_LAW}}),
+    "dbm-gaps": ("pooled_gap_count", {"thresholds": {"min_gaps": 10**6}}),
+    "moments-match": ("m4_within_4gamma", {"thresholds": {"m4_gap_coeff": -1.0}}),
+    "zmoments": ("p2_ratio_below_max", {"thresholds": {"ratio_max": 0.0}}),
+    "correlations": ("gap_cdf_ks", {"thresholds": {"ks_max": 0.0}}),
+}
+
+
+def _passes_on_its_margin(clause: dict) -> bool:
+    return clause["margin"] > 0 or (clause["margin"] == 0 and clause["op"] != "<")
+
+
+@pytest.mark.parametrize("tag", sorted(FUZZ_CONFIGS))
+def test_clauses_recompute_from_the_run_outputs(tmp_path, capsys, tag):
+    name, failing = FAILING[tag]
+    # without Monte Carlo draws the mc_moments clause passes on a value of 0
+    no_draws = [("no-draws", {**FUZZ_CONFIGS[tag], "mc_draws": 0})] if tag == "moments-match" else []
+    for case, doc in [("base", FUZZ_CONFIGS[tag]), *no_draws, ("failing", {**FUZZ_CONFIGS[tag], **failing})]:
+        out = tmp_path / case
+        cfg_path = tmp_path / f"{case}.json"
+        cfg_path.write_text(config(tag, **doc))
+        code = main([tag, "-c", str(cfg_path), "-o", str(out)])
+        text = (out / f"{tag}.manifest.json").read_text()
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the manifest, which is not JSON"))
+        m = RunManifest.from_json(text)
+        want = _clauses_from_outputs(tag, out)
+        assert [c["name"] for c in m.clauses] == list(want) and sorted(m.acceptance) == sorted(want)
+        for c in m.clauses:
+            value, op, threshold, verdict = want[c["name"]]
+            assert (c["op"], c["threshold"]) == (op, threshold) and value in (None, c["value"])
+            assert m.acceptance[c["name"]] is verdict is _passes_on_its_margin(c)
+        assert code == (0 if m.all_passed else 1)
+    (c,) = [c for c in m.clauses if c["name"] == name]
+    assert not m.acceptance[name] and c["margin"] < 0 and code == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith(tag)]
+    assert [r[:2] + r[-2:-1] for r in rows][-len(m.clauses):] == [
+        [tag, c["name"], "PASS" if m.acceptance[c["name"]] else "FAIL"] for c in m.clauses]
 
 
 _NO_SCIPY_PROBE = """
