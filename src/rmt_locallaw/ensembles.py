@@ -38,9 +38,9 @@ _SPECTRUM_TOL = 1e-9
 DRAW_CHUNK = 1 << 16
 # rows per block of the row-blocked passes over n x n arrays (sample_matrix's
 # draws and fill, the variance symmetry check, the OU flow's products, the
-# Hermitian part eigh takes of an array), so that their temporaries are
-# ROW_BLOCK x n; sample_matrix's draw order, so the bytes of every sample,
-# depend on it
+# Hermitian part eigh takes of an array, locallaw._row_passes), so that their
+# temporaries are ROW_BLOCK x n; sample_matrix's draw order, so the bytes of
+# every sample, depend on it
 ROW_BLOCK = 64
 
 

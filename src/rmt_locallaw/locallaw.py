@@ -1,10 +1,10 @@
-"""Resolvent diagnostics and the desk-scale spectral-law experiments.
+"""Resolvent diagnostics and the per-sample maths of the spectral-law experiments.
 
 Per-sample quantities: the self-consistent error terms A_i, Z_i, Upsilon_i,
 the diagonal/off-diagonal deviations Lambda_d / Lambda_o, and the exact
-self-consistent identity residual. Experiments: local-law scans, counting
-function accuracy, eigenvalue rigidity, edge containment and the averaged-Z
-moment table.
+self-consistent identity residual. `sample_map`, the one seeded per-sample job
+(the runner's experiment bodies drive it), and what they make of samples: a
+local-law scan row, counting, rigidity and edge statistics, averaged-Z moments.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EntryDistribution, MatrixSample, VarianceProfile, sample_matrix
+from .ensembles import ROW_BLOCK, MatrixSample, VarianceProfile, sample_matrix
 from .errors import ConfigError
 from .linalg import eigenvalues, resolvent, surviving_indices
 from .parallel import pmap
-from .seeding import derive_seed, generator
+from .seeding import derive_seed
 from .semicircle import classical_locations, in_domain, msc_eval, nsc_eval, theta_eval
 
 __all__ = [
@@ -27,12 +27,13 @@ __all__ = [
     "verify_perturbation_identities",
     "sample_map",
     "check_scan_grid",
-    "local_law_scan",
+    "scan_row",
     "counting_gap",
     "rigidity_stat",
     "EdgeReport",
     "edge_check",
-    "z_average_moments",
+    "z_moment_bounds",
+    "z_moment_rows",
     "x_control",
 ]
 
@@ -62,8 +63,8 @@ def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
     var_ij g_jj, as two real matrix-vector products (var is real, so it is
     never cast to complex), then sum_j a_ij g_ji (column sums of
     conj(a) * g), sum_j var_ij g_ij g_ji and max_{i != j} |g_ij| (Lambda_o),
-    taken over blocks of 64 rows so that every array is read in row order and
-    the only temporary is one 64 x n scratch block."""
+    taken over blocks of ROW_BLOCK rows so that every array is read in row
+    order and the only temporary is one ROW_BLOCK x n scratch block."""
     n = a.shape[0]
     gd = np.diag(g)
     # one product over all of var: a short block goes through other dgemv
@@ -73,10 +74,10 @@ def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
     dots = np.zeros(n, dtype=complex)
     pw_row = np.empty(n, dtype=complex)
     off_max = []
-    scratch = np.empty((min(n, 64), n), dtype=complex)
-    for j in range(0, n, 64):
-        rows = slice(j, j + 64)
-        blk = scratch[: min(64, n - j)]
+    scratch = np.empty((min(n, ROW_BLOCK), n), dtype=complex)
+    for j in range(0, n, ROW_BLOCK):
+        rows = slice(j, j + ROW_BLOCK)
+        blk = scratch[: min(ROW_BLOCK, n - j)]
         np.conjugate(a[rows], out=blk)
         blk *= g[rows]
         dots += blk.sum(axis=0)
@@ -226,66 +227,41 @@ SCAN_COLUMNS = [
 ]
 
 
-def check_scan_grid(p: VarianceProfile, z_grid) -> list:
-    """The grid as complex numbers; a point that fails the D domain condition
-    for profile p is a ConfigError."""
-    grid = [complex(z) for z in z_grid]
-    for z in grid:
+def check_scan_grid(p: VarianceProfile, z_grid) -> None:
+    """A point of the complex grid that fails the D domain condition for
+    profile p is a ConfigError."""
+    for z in z_grid:
         if not in_domain(z, p.n, p.m_param, p.delta_plus, p.edge_exponent_a, "D"):
             raise ConfigError(f"grid point z={z} fails the D domain condition")
-    return grid
 
 
-def local_law_scan(
-    p: VarianceProfile,
-    d: EntryDistribution,
-    beta: int,
-    n_samples: int,
-    z_grid,
-    seed: int,
-    workers: int | None = None,
-) -> list:
-    """Sample-resolved local-law statistics over a z grid, one row per (z,
-    sample) in grid-major order; each sample is drawn once for the whole grid.
-
-    Every grid point must pass the D domain condition before any sampling
-    starts. Per (z, sample): the raw |m_N - m_sc|, Lambda_d and
-    Lambda_o together with their scaling-law normalizations
-    M*eta*(kappa+eta)^A * |m_N - m_sc|,
+def scan_row(p: VarianceProfile, z: complex, sample_seed: int, diag: ResolventDiagnostics) -> dict:
+    """One scan row: the diagnostics of the sample drawn from sample_seed at
+    z. Besides the raw |m_N - m_sc|, Lambda_d and Lambda_o, their
+    scaling-law normalizations M*eta*(kappa+eta)^A * |m_N - m_sc|,
     sqrt(M*eta)*(kappa+eta)^(A/2-1/4) * Lambda_d and
-    sqrt(M*eta)*(kappa+eta)^(-1/4) * Lambda_o.
-    """
+    sqrt(M*eta)*(kappa+eta)^(-1/4) * Lambda_o."""
     a_exp = p.edge_exponent_a
-    grid = check_scan_grid(p, z_grid)
-
-    def _row(sample_seed, z, diag):
-        kappa = abs(abs(z.real) - 2.0)
-        ke = kappa + z.imag
-        meta = p.m_param * z.imag
-        m_err = abs(diag.m_n - msc_eval(z))
-        theta = theta_eval(z, p.delta_plus)
-        return {
-            "n": p.n,
-            "E": z.real,
-            "eta": z.imag,
-            "sample_seed": sample_seed,
-            "m_err": m_err,
-            "lambda_d": diag.lambda_d,
-            "lambda_o": diag.lambda_o,
-            "m_err_norm": meta * ke**a_exp * m_err,
-            "lambda_d_norm": math.sqrt(meta) * ke ** (a_exp / 2 - 0.25) * diag.lambda_d,
-            "lambda_o_norm": math.sqrt(meta) * ke**-0.25 * diag.lambda_o,
-            "meta_m_err": meta * m_err,
-            "sqrt_meta_lambda_d_over_theta": math.sqrt(meta) * diag.lambda_d / theta,
-            "sqrt_meta_lambda_o": math.sqrt(meta) * diag.lambda_o,
-            "upsilon_max": diag.upsilon_max,
-            "mainseeq_residual": diag.mainseeq_residual,
-        }
-
-    # each z in turn, so that a job holds its H and one resolvent at a time
-    per_sample = sample_map(p, d, beta, seed, (), n_samples,
-                            lambda sample_seed, h: [_row(sample_seed, z, diagnostics(h, p, z)) for z in grid], workers)
-    return [rows[zi] for zi in range(len(grid)) for rows in per_sample]
+    ke = abs(abs(z.real) - 2.0) + z.imag
+    meta = p.m_param * z.imag
+    m_err = abs(diag.m_n - msc_eval(z))
+    return {
+        "n": p.n,
+        "E": z.real,
+        "eta": z.imag,
+        "sample_seed": sample_seed,
+        "m_err": m_err,
+        "lambda_d": diag.lambda_d,
+        "lambda_o": diag.lambda_o,
+        "m_err_norm": meta * ke**a_exp * m_err,
+        "lambda_d_norm": math.sqrt(meta) * ke ** (a_exp / 2 - 0.25) * diag.lambda_d,
+        "lambda_o_norm": math.sqrt(meta) * ke**-0.25 * diag.lambda_o,
+        "meta_m_err": meta * m_err,
+        "sqrt_meta_lambda_d_over_theta": math.sqrt(meta) * diag.lambda_d / theta_eval(z, p.delta_plus),
+        "sqrt_meta_lambda_o": math.sqrt(meta) * diag.lambda_o,
+        "upsilon_max": diag.upsilon_max,
+        "mainseeq_residual": diag.mainseeq_residual,
+    }
 
 
 def counting_gap(spectrum, a_exponent: int) -> float:
@@ -339,49 +315,39 @@ def edge_check(spectrum, epsilon: float) -> EdgeReport:
 _BOOTSTRAP = 200  # resamples behind each stderr
 
 
-def z_average_moments(
-    p: VarianceProfile,
-    d: EntryDistribution,
-    beta: int,
-    z: complex,
-    n_samples: int,
-    p_max: int,
-    seed: int,
-    log_alpha: float = 1.0,
-    workers: int | None = None,
-) -> list:
-    """Moment rows {p, moment, stderr, bound, ratio} of the averaged
-    fluctuation N^-1 sum_i Z_i at one z, for even p up to p_max, ascending.
+def z_moment_bounds(p: VarianceProfile, z: complex, p_max: int, log_alpha: float) -> dict:
+    """p -> the bound ((ln N)^(3+2a) X(z)^2)^p on the p-th moment of the
+    averaged fluctuation N^-1 sum_i Z_i at z, X the scan control size, for
+    even p from 2 to p_max, ascending.
 
-    Requires z in the D* domain; even p_max in [2, 8]; n_samples >= 2, which
-    the bootstrap stderr needs; and a bound ((ln N)^(3+2a) X(z)^2)^p, X the
-    scan control size, that is finite and nonzero for every p. All are
-    checked before the first sample is drawn.
+    Requires even p_max in [2, 8], z in the D* domain and a bound that is
+    finite and nonzero for every p; anything else is a ConfigError.
     """
     if p_max % 2 != 0 or p_max > 8 or p_max < 2:
         raise ConfigError(f"p_max must be even and in [2, 8], got {p_max}")
-    if n_samples < 2:
-        raise ConfigError(f"n_samples must be >= 2 for a bootstrap stderr, got {n_samples}")
-    z = complex(z)
     if not in_domain(z, p.n, max(p.m_param, 1.0), p.delta_plus, p.edge_exponent_a, "D_star"):
         raise ConfigError(f"z={z} fails the D_star domain condition")
-    powers = range(2, p_max + 1, 2)
     try:
         bound_base = math.log(p.n) ** (3 + 2 * log_alpha) * x_control(p.n, p.m_param, z, log_alpha) ** 2
-        bounds = [bound_base**q for q in powers]
+        bounds = {q: bound_base**q for q in range(2, p_max + 1, 2)}
     except OverflowError:
-        bounds = [math.inf]
-    if not all(0.0 < b < math.inf for b in bounds):
+        bounds = {}
+    if not bounds or not all(0.0 < b < math.inf for b in bounds.values()):
         raise ConfigError(f"log_alpha = {log_alpha!r} makes the bound overflow or vanish at n = {p.n}")
+    return bounds
 
-    sums = np.array(sample_map(p, d, beta, seed, (), n_samples,
-                               lambda _seed, h: complex(np.mean(diagnostics(h, p, z).z_terms)), workers))
-    rng = generator(seed, "bootstrap")
+
+def z_moment_rows(sums, bounds: dict, rng: np.random.Generator) -> list:
+    """Moment rows {p, moment, stderr, bound, ratio} of the samples' averaged
+    fluctuations `sums`, one per entry of z_moment_bounds, in its order; the
+    stderr is a bootstrap's over _BOOTSTRAP resamples drawn from rng, and
+    needs two or more sums."""
+    sums = np.array(sums)
     rows = []
-    for q, bound in zip(powers, bounds):
+    for q, bound in bounds.items():
         vals = np.abs(sums) ** q
         est = float(np.mean(vals))
-        idx = rng.integers(0, n_samples, size=(_BOOTSTRAP, n_samples))
+        idx = rng.integers(0, sums.size, size=(_BOOTSTRAP, sums.size))
         stderr = float(np.std(np.mean(vals[idx], axis=1), ddof=1))
         rows.append({"p": q, "moment": est, "stderr": stderr, "bound": bound, "ratio": est / bound})
     return rows

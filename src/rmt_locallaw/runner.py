@@ -92,8 +92,9 @@ _KINDS = {
     "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
               "a pair [E, eta] of numbers with eta > 0"),
-    "times": (lambda v: isinstance(v, list) and v and all(_is_number(x) and x >= 0 for x in v) and _distinct(v),
-              "a non-empty list of distinct numbers >= 0"),
+    # each time is labelled f"{t:g}" in the statistics and the CSV schemas
+    "times": (lambda v: isinstance(v, list) and v and all(_is_number(x) and x >= 0 for x in v)
+              and _distinct([f"{x:g}" for x in v]), "a non-empty list of numbers >= 0, distinct to 6 significant digits"),
     "gammas": (lambda v: isinstance(v, list) and v and all(_is_number(x) and 0 < x < 1 for x in v),
                "a non-empty list of numbers in (0, 1)"),
     "kappa_cut": (lambda v: _is_number(v) and 0 < v < 2, "a number in (0, 2)"),
@@ -194,6 +195,8 @@ def parse_config(text: str) -> ExperimentConfig:
         _check_keys(ens, _ENSEMBLE_KINDS, "ensemble")
         for key, val in ens.items():
             _check(f"ensemble.{key}", val, _ENSEMBLE_KINDS[key])
+            if key.startswith("band_") and ens.get("profile", "wigner") != "band":
+                raise ConfigError(f"ensemble.{key} applies to the band profile only")
         if ens.get("beta", 2) not in (1, 2):
             raise ConfigError("ensemble.beta must be 1 or 2")
         n_min = min(doc.get("sizes", [doc.get("n")]))
@@ -201,7 +204,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"ensemble.band_w must be <= n = {n_min}, got {ens['band_w']}")
         _resolve_distribution(ens.get("distribution", "gaussian"), "ensemble.distribution")
     thresholds = dict(entry.thresholds)
-    overrides = doc.get("thresholds") or {}
+    overrides = doc.get("thresholds", {})
     _check("thresholds", overrides, "object")
     _check_keys(overrides, thresholds, f"thresholds (experiment {exp})")
     for key, val in overrides.items():
@@ -395,8 +398,10 @@ def _exp_locallaw_scan(cfg: ExperimentConfig):
     # changes no byte
     for n in reversed(sizes):
         profile, dist, beta = ensembles.pop(n)
-        rows[n] = locallaw.local_law_scan(
-            profile, dist, beta, pr["samples"], [zs[n]], derive_seed(cfg.seed, "scan", n), workers=cfg.workers
+        z = zs[n]
+        rows[n] = locallaw.sample_map(
+            profile, dist, beta, derive_seed(cfg.seed, "scan", n), (), pr["samples"],
+            lambda seed, h: locallaw.scan_row(profile, z, seed, locallaw.diagnostics(h, profile, z)), cfg.workers,
         )
         medians_meta[n] = float(np.median([r["meta_m_err"] for r in rows[n]]))
         medians_ld[n] = float(
@@ -649,10 +654,11 @@ def _exp_zmoments(cfg: ExperimentConfig):
     n = pr["n"]
     profile, dist, beta = _ensemble(cfg, n)
     z = complex(pr["z"][0], pr["z"][1])
-    moment_rows = locallaw.z_average_moments(
-        profile, dist, beta, z, pr["samples"], pr["p_max"], cfg.seed,
-        log_alpha=pr["log_alpha"], workers=cfg.workers,
-    )
+    bounds = locallaw.z_moment_bounds(profile, z, pr["p_max"], pr["log_alpha"])  # before the first sample
+    sums = locallaw.sample_map(profile, dist, beta, cfg.seed, (), pr["samples"],
+                               lambda _seed, h: complex(np.mean(locallaw.diagnostics(h, profile, z).z_terms)),
+                               cfg.workers)
+    moment_rows = locallaw.z_moment_rows(sums, bounds, generator(cfg.seed, "bootstrap"))
     ratio = moment_rows[0]["ratio"]  # the rows ascend in p from p = 2
     rows = [[r["p"], r["moment"], r["stderr"], r["bound"], r["ratio"]] for r in moment_rows]
     files = {"zmoments.csv": csv_text("zmoments", ["p", "moment", "stderr", "bound", "ratio"], rows)}

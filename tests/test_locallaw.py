@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 
 from _peak import traced_peak
-from rmt_locallaw import locallaw
+from rmt_locallaw import locallaw, runner
 from rmt_locallaw.ensembles import VarianceProfile, band_profile, catalog_distribution, sample_matrix, wigner_profile
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.linalg import resolvent
 from rmt_locallaw.locallaw import (
+    check_scan_grid,
     counting_gap,
     diagnostics,
     edge_check,
-    local_law_scan,
     rigidity_stat,
+    sample_map,
+    scan_row,
     verify_perturbation_identities,
-    z_average_moments,
+    z_moment_bounds,
+    z_moment_rows,
 )
 from rmt_locallaw.parallel import blas_threads
-from rmt_locallaw.seeding import derive_seed
+from rmt_locallaw.seeding import generator
 from rmt_locallaw.semicircle import classical_locations, msc_eval
 
 
@@ -248,52 +251,61 @@ def test_edge_check_examples():
 def test_z_moments_degenerate_profile_all_zero(monkeypatch):
     # the identity profile fails the D_star gate (M = 1); the gate is lifted
     p = identity_profile(12)
+    z = 0.5 + 0.05j
     monkeypatch.setattr(locallaw, "in_domain", lambda *args: True)
-    rows = z_average_moments(p, catalog_distribution("bernoulli"), 1, 0.5 + 0.05j, 8, 4, seed=5)
+    bounds = z_moment_bounds(p, z, 4, 1.0)
+    sums = sample_map(p, catalog_distribution("bernoulli"), 1, 5, (), 8,
+                      lambda _seed, h: complex(np.mean(diagnostics(h, p, z).z_terms)), None)
+    rows = z_moment_rows(sums, bounds, generator(5, "bootstrap"))
     assert [row["p"] for row in rows] == [2, 4]
     for row in rows:
         assert row["moment"] == 0.0
 
 
-def test_z_moments_gue_ratio_below_one():
-    p = wigner_profile(100)
-    [row] = z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 50, 2, seed=6)
+def zmoments_rows(tmp_path, n, z, samples, seed):
+    """The rows of a zmoments run on the Gaussian Wigner ensemble."""
+    doc = {"experiment": "zmoments", "seed": seed, "n": n, "z": z, "samples": samples}
+    return runner.run(runner.parse_config(json.dumps(doc)), str(tmp_path / f"zmoments-{n}")).statistics["rows"]
+
+
+def test_z_moments_gue_ratio_below_one(tmp_path):
+    [row] = zmoments_rows(tmp_path, 100, [0.5, 0.05], 50, seed=6)
     assert row["p"] == 2 and row["ratio"] < 1.0
     assert row["stderr"] > 0
     assert row["moment"] > 0
 
 
-def test_z_moments_ratio_trend_at_fixed_meta():
-    ratios = []
-    for n in (200, 400, 800):
-        p = wigner_profile(n)
-        [row] = z_average_moments(p, catalog_distribution("gaussian"), 2, complex(0.5, 20.0 / n), 24, 2, seed=7)
-        ratios.append(row["ratio"])
+def test_z_moments_ratio_trend_at_fixed_meta(tmp_path):
+    ratios = [zmoments_rows(tmp_path, n, [0.5, 20.0 / n], 24, seed=7)[0]["ratio"] for n in (200, 400, 800)]
     assert ratios[1] <= ratios[0] * 1.05
     assert ratios[2] <= ratios[1] * 1.05
 
 
 def test_z_moments_domain_gate():
     p = wigner_profile(50)
-    with pytest.raises(ConfigError):
-        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.001j, 4, 2, seed=8)
-    with pytest.raises(ConfigError):
-        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 3, seed=8)
-    with pytest.raises(ConfigError, match="n_samples"):  # no bootstrap stderr from one sample
-        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 1, 2, seed=8)
+    with pytest.raises(ConfigError, match="D_star"):
+        z_moment_bounds(p, 0.5 + 0.001j, 2, 1.0)
+    with pytest.raises(ConfigError, match="p_max"):
+        z_moment_bounds(p, 0.5 + 0.05j, 3, 1.0)
     with pytest.raises(ConfigError, match="log_alpha = 1000"):  # a bound that overflows
-        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 2, seed=8, log_alpha=1000)
+        z_moment_bounds(p, 0.5 + 0.05j, 2, 1000)
     with pytest.raises(ConfigError, match="log_alpha = 60"):  # finite at p = 2, not at p = 8
-        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 8, seed=8, log_alpha=60)
+        z_moment_bounds(p, 0.5 + 0.05j, 8, 60)
     with pytest.raises(ConfigError, match="log_alpha = -1000"):  # a bound that underflows to 0
-        z_average_moments(p, catalog_distribution("gaussian"), 2, 0.5 + 0.05j, 4, 2, seed=8, log_alpha=-1000)
+        z_moment_bounds(p, 0.5 + 0.05j, 2, -1000)
+    assert list(z_moment_bounds(p, 0.5 + 0.05j, 8, 1.0)) == [2, 4, 6, 8]
+
+
+def scan(p, d, n_samples, z, seed) -> list:
+    """A scan's rows at one z, in sample order, as the locallaw-scan body makes them."""
+    return sample_map(p, d, 2, seed, (), n_samples, lambda s, h: scan_row(p, z, s, diagnostics(h, p, z)), None)
 
 
 def test_local_law_scan_single_entry():
     p = wigner_profile(1)
     d = catalog_distribution("gaussian")
     z = 2.0j
-    rows = local_law_scan(p, d, 2, 3, [z], seed=9)
+    rows = scan(p, d, 3, z, seed=9)
     for row in rows:
         h = sample_matrix(p, d, 2, row["sample_seed"]).entries[0, 0]
         want = abs(1.0 / (h - z) - msc_eval(z))
@@ -303,8 +315,9 @@ def test_local_law_scan_single_entry():
 
 def test_local_law_scan_rejects_out_of_domain_grid():
     p = wigner_profile(100)
+    check_scan_grid(p, [0.5j, 0.3 + 0.1j])
     with pytest.raises(ConfigError) as err:
-        local_law_scan(p, catalog_distribution("gaussian"), 2, 1, [0.004j], seed=10)
+        check_scan_grid(p, [0.5j, 0.004j])
     assert "0.004" in str(err.value)
 
 
@@ -316,14 +329,8 @@ def golden_scan_text() -> str:
     median and p90 over the samples of each normalized statistic, at the
     file's one grid point (key "0")."""
     meta = json.loads(GOLDEN.read_text())
-    rows = local_law_scan(
-        wigner_profile(meta["n"]),
-        catalog_distribution("gaussian"),
-        2,
-        meta["samples"],
-        [complex(meta["E"], meta["eta"])],
-        seed=meta["seed"],
-    )
+    rows = scan(wigner_profile(meta["n"]), catalog_distribution("gaussian"), meta["samples"],
+                complex(meta["E"], meta["eta"]), seed=meta["seed"])
     quantiles = {}
     for key in ("meta_m_err", "sqrt_meta_lambda_d_over_theta", "sqrt_meta_lambda_o"):
         vals = np.array([r[key] for r in rows])
@@ -339,25 +346,6 @@ def test_local_law_scan_golden_baseline():
     # committed baseline from this implementation, cross-checked at generation
     # time against the spectral-oracle resolvent; byte-identical on rerun
     assert golden_scan_text() == GOLDEN.read_text()
-
-
-def test_local_law_scan_draws_each_sample_once_for_its_grid(monkeypatch):
-    p = wigner_profile(60)
-    law = catalog_distribution("bernoulli")
-    grid = [0.5 + 0.4j, 1j, -0.8 + 0.3j, 1.2 + 0.5j]
-    seeds = []
-
-    def counted(*args, **kwargs):
-        seeds.append(args[3])
-        return sample_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(locallaw, "sample_matrix", counted)
-    rows = local_law_scan(p, law, 2, 6, grid, seed=11)
-    assert sorted(seeds) == sorted(derive_seed(11, si) for si in range(6))
-    monkeypatch.undo()
-    # grid-major, and each row as a scan of its z alone gives it
-    assert rows == [row for z in grid for row in local_law_scan(p, law, 2, 6, [z], seed=11)]
-    assert all(r["mainseeq_residual"] < 1e-8 for r in rows)
 
 
 if __name__ == "__main__":  # regenerate the golden scan: PYTHONPATH=src python tests/test_locallaw.py

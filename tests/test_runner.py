@@ -54,8 +54,8 @@ NAN = float("nan")
 
 # bad configs, each with the key the error names; main runs each through its own subcommand.
 # parse_config rejects each, except a power of n that overflows (a threshold,
-# epsilon, eta_power, log_alpha), which fails where the experiment body
-# computes it, before the first sample is drawn
+# epsilon, eta_power, log_alpha) and a zmoments z outside D* or odd p_max,
+# which fail where the experiment body computes them, before the first sample
 BAD_VALUES = [
     (config("rigidity", samples=2), "'n'"),
     (minimal_config(n="abc"), "n must be"),
@@ -130,6 +130,16 @@ BAD_VALUES = [
     (config("edge", n=40, samples=1, epsilon=1000), "epsilon makes"),
     (config("locallaw-scan", sizes=[50], samples=1, eta_power=1000), "eta_power makes"),
     (config("zmoments", n=50, z=[0.5, 0.05], samples=2, log_alpha=1000), "log_alpha = 1000"),
+    (config("zmoments", n=50, z=[0.5, 0.05], samples=2, p_max=8, log_alpha=60), "log_alpha = 60"),
+    (config("zmoments", n=50, z=[0.5, 0.05], samples=2, log_alpha=-1000), "log_alpha = -1000"),
+    (config("zmoments", n=50, z=[0.5, 0.001], samples=2), "z=(0.5+0.001j) fails the D_star"),
+    (config("zmoments", n=50, z=[0.5, 0.05], samples=2, p_max=3), "p_max must be"),
+    (config("zmoments", n=50, z=[0.5, 0.05], samples=2, p_max=10), "p_max must be"),
+    *((minimal_config(thresholds=value), "thresholds must be an object") for value in ([], 0, False, "", None)),
+    # distinct times whose labels f"{t:g}" coincide
+    (config("dbm-gaps", n=40, samples=1, times=[0, 0.1, 0.1000001]), "times must be"),
+    (minimal_config(ensemble={"profile": "wigner", "band_w": 5, "band_shape": "gaussian"}), "ensemble.band_w applies"),
+    (minimal_config(ensemble={"band_shape": "gaussian"}), "ensemble.band_shape applies"),
     (config("dbm-gaps", n=40, samples=1, kappa_cut=2.5), "kappa_cut must be"),
     (config("correlations", n=50, samples=1, distribution_b="gaussian", kappa_cut=0), "kappa_cut must be"),
 ]
@@ -177,6 +187,18 @@ def test_scan_checks_every_size_before_the_first_sample(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="fails the D domain condition"):
         run(cfg, str(tmp_path / "out"))
     assert len(calls) == 0
+
+
+def test_scan_draws_each_sample_once_from_its_size_seed(monkeypatch, tmp_path):
+    seeds = []
+
+    def counted(*args):
+        seeds.append(args[3])
+        return sample_matrix(*args)
+
+    monkeypatch.setattr(locallaw, "sample_matrix", counted)
+    run(parse_config(config("locallaw-scan", sizes=[30, 40], samples=3)), str(tmp_path / "out"))
+    assert sorted(seeds) == sorted(derive_seed(derive_seed(7, "scan", n), si) for n in (30, 40) for si in range(3))
 
 
 def test_every_value_kind_is_reached_by_a_key():
