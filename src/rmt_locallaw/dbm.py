@@ -24,7 +24,8 @@ def flow_interpolate(h0: MatrixSample, v: MatrixSample, t: float, out: np.ndarra
 
     The entries go into `out`, a C-ordered array of h0's shape and dtype
     (such as np.empty_like of h0's entries), which the sample wraps
-    writable, so that an eigensolver may overwrite it. Each entry is the sum
+    writable: a sample handed over (MatrixSample), which an eigensolver
+    may overwrite. Each entry is the sum
     of the two products, formed ROW_BLOCK rows at a time, so that their
     temporaries are ROW_BLOCK x n; at t = 0, h_t is h0 to the bit.
     """

@@ -38,9 +38,10 @@ _SPECTRUM_TOL = 1e-9
 DRAW_CHUNK = 1 << 16
 # rows per block of the row-blocked passes over n x n arrays (sample_matrix's
 # draws and fill, the variance symmetry check, the OU flow's products, the
-# Hermitian part eigh takes of an array, locallaw._row_passes), so that their
-# temporaries are ROW_BLOCK x n; sample_matrix's draw order, so the bytes of
-# every sample, depend on it
+# Hermitian part eigh takes of an array, locallaw's packing of a handed-over
+# sample into one real array and its unpacking of conj(H) in
+# locallaw._row_passes), so that their temporaries are ROW_BLOCK x n;
+# sample_matrix's draw order, so the bytes of every sample, depend on it
 ROW_BLOCK = 64
 
 
@@ -306,7 +307,17 @@ def catalog_distribution(name: str) -> EntryDistribution:
 
 @dataclass(frozen=True)
 class MatrixSample:
-    """One Hermitian sample tied to its profile, distribution and seed."""
+    """One Hermitian sample tied to its profile, distribution and seed.
+
+    Who owns the entries follows from how the sample was built. Read-only
+    entries (sample_matrix's own array) are shared: nothing writes them.
+    Writable entries (a caller's buffer, from sample_matrix(..., out=) or
+    dbm.flow_interpolate) are handed over: linalg.eigh without vectors,
+    linalg.resolvent of the whole matrix and locallaw.diagnostics may form
+    their result in that buffer, so that no copy of H is made and the
+    entries hold garbage afterwards. A sample is exactly Hermitian, with a
+    real diagonal of imaginary part +0.0 when complex.
+    """
 
     symmetry_class: int
     entries: np.ndarray
@@ -318,9 +329,18 @@ class MatrixSample:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def handed_over(self) -> bool:
+        """Whether the entries are writable, so may be consumed (above)."""
+        return bool(self.entries.flags.writeable)
 
-def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int) -> MatrixSample:
+
+def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int, out=None) -> MatrixSample:
     """Draw one Hermitian (beta=2) or real symmetric (beta=1) sample.
+
+    The entries go into a new array, returned read-only, or into `out`, a
+    C-ordered n x n complex128 (beta=2) or float64 (beta=1) array, returned
+    writable: a sample handed over (MatrixSample). The bytes are the same.
 
     Entry (i, j), i < j, is an independent standardized draw scaled to
     variance sigma^2_ij (real and imaginary parts each sigma^2_ij/2 for
@@ -337,7 +357,10 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
     n = p.n
     var = p.variances
     rng = generator(seed, p.profile_id, d.dist_id, beta)
-    h = np.empty((n, n), dtype=complex if beta == 2 else float)
+    dtype = np.dtype(complex if beta == 2 else float)
+    h = np.empty((n, n), dtype) if out is None else out
+    if h.shape != (n, n) or h.dtype != dtype or not (h.flags.c_contiguous and h.flags.writeable):
+        raise SamplingError(f"out must be a writable C-ordered {dtype} array of shape {(n, n)}")
     # one block of rows at a time, so that h is the only n x n array: draw
     # the block's rows of x, then of y; fill the entries on and above the
     # diagonal; copy those below it from their mirrors, exactly (conjugated),
@@ -356,5 +379,6 @@ def sample_matrix(p: VarianceProfile, d: EntryDistribution, beta: int, seed: int
         square = h[rows, rows]
         np.copyto(square, square.T.conj(), where=np.tri(len(square), k=-1, dtype=bool))
         np.fill_diagonal(square, np.diag(sigma) * np.diag(x[:, rows]))
-    h.setflags(write=False)
+    if out is None:
+        h.setflags(write=False)
     return MatrixSample(symmetry_class=beta, entries=h, profile_id=p.profile_id, dist_id=d.dist_id, seed=seed)

@@ -65,7 +65,7 @@ def eigenvalues(spectrum) -> np.ndarray:
     return np.sort(np.asarray(spectrum, dtype=float))
 
 
-def eigh(h, compute_vectors: bool = True, overwrite: bool = False) -> Spectrum:
+def eigh(h, compute_vectors: bool = True) -> Spectrum:
     """Full spectrum of a Hermitian matrix, ascending.
 
     Backed by LAPACK's Householder reduction + tridiagonal diagonalization;
@@ -75,15 +75,14 @@ def eigh(h, compute_vectors: bool = True, overwrite: bool = False) -> Spectrum:
     come from `lapack.eigvalsh` (two-stage reduction for complex input);
     with vectors, numpy's eigh, which the tests use as the spectral oracle.
 
-    LAPACK overwrites the array it is given, so eigenvalues alone are taken
-    from a copy of a MatrixSample's entries, unless `overwrite` gives the
-    sample up: then entries that are writable, C-ordered float64 or
-    complex128 go to LAPACK as they are and hold garbage afterwards. A
-    read-only sample is never written.
+    LAPACK overwrites the array it is given. For eigenvalues alone, a
+    handed-over sample's entries (MatrixSample), when C-ordered float64 or
+    complex128, go to LAPACK as they are; a read-only sample's are copied,
+    and a plain array is never written.
     """
     if isinstance(h, MatrixSample):
         a = h.entries
-        fresh = overwrite and a.flags.writeable
+        fresh = h.handed_over
     else:
         a = _hermitian_part(np.asarray(h))
         fresh = True
@@ -128,15 +127,21 @@ class ResolventSlice:
 def resolvent(h, z: complex, t=()) -> ResolventSlice:
     """G^(T)(z) = (H^(T) - z)^-1 by complex LU with partial pivoting.
 
-    The inverse is formed in place in a C-ordered copy of H^(T) - z, which
-    LAPACK reads as its transpose; read C-ordered again, the buffer is G.
+    The inverse is formed in place in a C-ordered complex128 buffer holding
+    H^(T) - z, which LAPACK reads as its transpose; read C-ordered again,
+    the buffer is G. With t = (), a handed-over sample's entries
+    (MatrixSample), when C-ordered complex128, are that buffer; otherwise
+    it is a copy, and a read-only sample or a plain array is never written.
     Nothing assumes H Hermitian.
     """
     if not complex(z).imag > 0:
         raise DomainError(f"resolvent requires Im z > 0, got {z}")
     a = _as_matrix(h)
     keep = surviving_indices(a.shape[0], t)
-    g = np.array(a if keep.size == a.shape[0] else a[np.ix_(keep, keep)], dtype=complex, order="C")
+    if keep.size == a.shape[0] and isinstance(h, MatrixSample) and h.handed_over:
+        g = np.asarray(a, dtype=complex, order="C")  # the entries themselves, unless a cast or reorder copies
+    else:
+        g = np.array(a if keep.size == a.shape[0] else a[np.ix_(keep, keep)], dtype=complex, order="C")
     g.flat[:: g.shape[0] + 1] -= complex(z)
     try:
         lapack.invert(g)

@@ -9,6 +9,7 @@ local-law scan row, counting, rigidity and edge statistics, averaged-Z moments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,14 +59,46 @@ class ResolventDiagnostics:
     mainseeq_residual: float
 
 
-def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
+def _pack(a: np.ndarray) -> np.ndarray:
+    """One real n x n array P that holds the Hermitian complex a: Re a on and
+    above the diagonal, Im a below it, copied ROW_BLOCK rows at a time."""
+    n = a.shape[0]
+    packed = np.empty((n, n))
+    for r in range(0, n, ROW_BLOCK):
+        rows = slice(r, r + ROW_BLOCK)
+        packed[rows, :r] = a[rows, :r].imag
+        packed[rows, r:] = a[rows, r:].real
+        square = packed[rows, rows]
+        np.copyto(square, a[rows, rows].imag, where=np.tri(len(square), k=-1, dtype=bool))
+    return packed
+
+
+def _unpack_conjugate(packed: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """out = conj(a[rows]) for the a that _pack(a) packed, to the bit: one row
+    read and one transposed read of P. Below the diagonal Re a_ij = P_ji and
+    -Im a_ij = -P_ij; above it Re a_ij = P_ij and -Im a_ij = Im a_ji = P_ji;
+    on it the imaginary part is -0.0, the conjugate of a sample's +0.0."""
+    r = rows.start
+    mirror = packed[:, rows].T
+    np.copyto(out.real[:, :r], mirror[:, :r])
+    np.negative(packed[rows, :r], out=out.imag[:, :r])
+    np.copyto(out.real[:, r:], packed[rows, r:])
+    np.copyto(out.imag[:, r:], mirror[:, r:])
+    square, below = out[:, rows], np.tri(out.shape[0], k=-1, dtype=bool)
+    np.copyto(square.real, packed[rows, rows].T, where=below)
+    np.negative(packed[rows, rows], out=square.imag, where=below)
+    np.fill_diagonal(square.imag, -0.0)
+
+
+def _row_passes(conjugate_rows, g: np.ndarray, var: np.ndarray):
     """Four O(n^2) reductions of one resolvent g of a Hermitian a: sum_j
     var_ij g_jj, as two real matrix-vector products (var is real, so it is
     never cast to complex), then sum_j a_ij g_ji (column sums of
     conj(a) * g), sum_j var_ij g_ij g_ji and max_{i != j} |g_ij| (Lambda_o),
     taken over blocks of ROW_BLOCK rows so that every array is read in row
-    order and the only temporary is one ROW_BLOCK x n scratch block."""
-    n = a.shape[0]
+    order and the only temporary is one ROW_BLOCK x n scratch block.
+    conjugate_rows(rows, out) writes conj(a[rows]) into out."""
+    n = g.shape[0]
     gd = np.diag(g)
     # one product over all of var: a short block goes through other dgemv
     # paths and can move a row's sum by an ulp, a 1-row block through a dot;
@@ -78,7 +111,7 @@ def _row_passes(a: np.ndarray, g: np.ndarray, var: np.ndarray):
     for j in range(0, n, ROW_BLOCK):
         rows = slice(j, j + ROW_BLOCK)
         blk = scratch[: min(ROW_BLOCK, n - j)]
-        np.conjugate(a[rows], out=blk)
+        conjugate_rows(rows, blk)
         blk *= g[rows]
         dots += blk.sum(axis=0)
         np.multiply(g[rows], g[:, rows].T, out=blk)
@@ -105,6 +138,12 @@ def diagnostics(
     used to cross-check. The identity residual
     max_i |G_ii - 1/(-z - sum_j s2_ij G_jj + Y_i)| is exact algebra; on the
     default route it measures how far diag((H - z)G) is from 1.
+
+    On the default route a handed-over complex sample (MatrixSample) is
+    consumed: H is first packed into one real n x n array, G is then formed
+    in the sample's buffer, and the row passes read conj(H) back from the
+    packed copy. That holds 8n^2 + 16n^2 bytes, not 2 x 16n^2, and gives
+    the same bytes.
     """
     a = h.entries if isinstance(h, MatrixSample) else np.asarray(h)
     n = a.shape[0]
@@ -112,13 +151,18 @@ def diagnostics(
         raise ConfigError(f"profile dimension {p.n} != matrix dimension {n}")
     z = complex(z)
     var = p.variances
-    g_full = resolvent(a, z).entries
+    hdiag = np.real(np.diag(a)).copy()
+    if not minor_route and isinstance(h, MatrixSample) and h.handed_over and a.dtype == np.complex128:
+        conjugate_rows = functools.partial(_unpack_conjugate, _pack(a))
+    else:
+        def conjugate_rows(rows, out):
+            np.conjugate(a[rows], out=out)
+    g_full = resolvent(a if minor_route else h, z).entries
     g = np.diag(g_full).copy()
-    hdiag = np.real(np.diag(a))
     m_n = complex(np.mean(g))
 
     pv_diag = np.diag(var).copy()
-    dots, var_g, pw_row, lambda_o = _row_passes(a, g_full, var)
+    dots, var_g, pw_row, lambda_o = _row_passes(conjugate_rows, g_full, var)
     cross = (pw_row - pv_diag * g * g) / g
     a_terms = pv_diag * g + cross
 
@@ -208,14 +252,17 @@ def verify_perturbation_identities(h, z: complex, i: int, j: int, k: int) -> flo
 
 def sample_map(p, d, beta, seed, parts, n_samples, reduce, workers) -> list:
     """One pmap job per sample, results in sample order: job si draws its
-    sample H once, from derive_seed(seed, *parts, si), and returns
-    reduce(sample_seed, H), which may take diagnostics and eigenvalues of that
-    same H. A job holds H and what reduce makes of it, nothing of another
-    sample."""
+    sample H once, from derive_seed(seed, *parts, si), into a buffer of its
+    own, and returns reduce(sample_seed, H). H is handed over (MatrixSample):
+    reduce's first eigh without vectors, resolvent or diagnostics of it forms
+    its result in H's buffer, so a reduce that takes more than one of them
+    takes a copy of H first. A job holds H and what reduce makes of it,
+    nothing of another sample."""
+    dtype = complex if beta == 2 else float
 
     def _job(si):
         sample_seed = derive_seed(seed, *parts, si)
-        return reduce(sample_seed, sample_matrix(p, d, beta, sample_seed))
+        return reduce(sample_seed, sample_matrix(p, d, beta, sample_seed, np.empty((p.n, p.n), dtype)))
 
     return pmap(_job, list(range(n_samples)), workers)
 

@@ -509,7 +509,7 @@ def _exp_dbm_gaps(cfg: ExperimentConfig):
         out = []
         for t in times:
             ht = dbm.flow_interpolate(h0, v, t, out=buf)
-            out.append(stats.unfold(eigh(ht, compute_vectors=False, overwrite=True).eigenvalues, kcut))
+            out.append(stats.unfold(eigh(ht, compute_vectors=False).eigenvalues, kcut))
         return out
 
     per_sample = pmap(_job, list(range(pr["samples"])), cfg.workers)

@@ -459,6 +459,23 @@ def test_row_blocked_sample_equals_the_dense_sampler(n, law):
             assert got.tobytes() == want.tobytes()  # every bit, so the sign of every zero too
             if d.kind == "discrete-atoms" and n > 2:
                 assert np.any(got == 0.0)
+            # drawn into a caller's buffer: the same bytes, handed over writable
+            buf = np.empty_like(want)
+            into = sample_matrix(p, d, beta, seed=5, out=buf)
+            assert into.entries is buf and into.handed_over and into.entries.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+def test_sample_matrix_fills_only_a_writable_c_ordered_buffer_of_its_dtype():
+    p, d = wigner_profile(5), catalog_distribution("bernoulli")
+    for beta, out in ((2, np.empty((5, 5))), (1, np.empty((5, 5), complex)), (1, np.empty((4, 5))),
+                      (1, np.empty((5, 5), order="F")), (1, np.empty((5, 10))[:, ::2])):
+        with pytest.raises(SamplingError, match="out must be"):
+            sample_matrix(p, d, beta, seed=1, out=out)
+    frozen = np.empty((5, 5))
+    frozen.setflags(write=False)
+    with pytest.raises(SamplingError, match="out must be"):
+        sample_matrix(p, d, 1, seed=1, out=frozen)
 
 
 def test_sample_matrix_holds_its_draws_its_output_and_one_row_block():

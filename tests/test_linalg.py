@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -117,7 +115,6 @@ def test_eigh_of_an_array_copies_once_and_leaves_it_untouched(beta):
     kept = h.copy()
     want = lapack.eigvalsh(np.array(0.5 * (h + h.conj().T), order="C"))
     assert eigh(h, compute_vectors=False).eigenvalues.tobytes() == want.tobytes()
-    assert eigh(h, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
     assert h.tobytes() == kept.tobytes()
 
 
@@ -132,18 +129,43 @@ def test_eigh_of_an_array_holds_its_hermitian_part_and_row_blocks():
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_eigh_overwrites_only_a_writable_sample_it_is_given(beta):
-    s = sample_matrix(wigner_profile(70), catalog_distribution("bernoulli"), beta, seed=4)
+    p, d = wigner_profile(70), catalog_distribution("bernoulli")
+    s = sample_matrix(p, d, beta, seed=4)
     kept = s.entries.copy()
     want = eigh(s, compute_vectors=False).eigenvalues
-    # a sampled matrix is read-only: never written, even when given up
-    assert eigh(s, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
+    # a sampled matrix is read-only: never written
     assert s.entries.tobytes() == kept.tobytes()
-    buf = dataclasses.replace(s, entries=kept.copy())
+    assert eigh(s).eigenvalues.tobytes() == eigh(kept).eigenvalues.tobytes()
+    # one drawn into a buffer is handed over: LAPACK works in the buffer itself
+    buf = sample_matrix(p, d, beta, seed=4, out=np.empty_like(kept))
     assert eigh(buf, compute_vectors=False).eigenvalues.tobytes() == want.tobytes()
+    assert buf.entries.tobytes() != kept.tobytes()
+    # with vectors, numpy's eigh copies
+    buf = sample_matrix(p, d, beta, seed=4, out=np.empty_like(kept))
     assert eigh(buf).eigenvalues.tobytes() == eigh(s).eigenvalues.tobytes()
-    assert buf.entries.tobytes() == kept.tobytes()  # a writable sample kept by default
-    assert eigh(buf, compute_vectors=False, overwrite=True).eigenvalues.tobytes() == want.tobytes()
-    assert buf.entries.tobytes() != kept.tobytes()  # LAPACK worked in the buffer itself
+    assert buf.entries.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_resolvent_forms_g_in_a_handed_over_complex_sample_only(beta):
+    p, d = wigner_profile(70), catalog_distribution("bernoulli")
+    z = 0.3 + 0.05j
+    s = sample_matrix(p, d, beta, seed=4)
+    kept = s.entries.copy()
+    want = resolvent(s, z).entries
+    assert s.entries.tobytes() == kept.tobytes()
+    plain = kept.copy()
+    assert resolvent(plain, z).entries.tobytes() == want.tobytes()
+    assert plain.tobytes() == kept.tobytes()
+    buf = sample_matrix(p, d, beta, seed=4, out=np.empty_like(kept))
+    # a minor is always a copy
+    resolvent(buf, z, (3,))
+    assert buf.entries.tobytes() == kept.tobytes()
+    g = resolvent(buf, z).entries
+    assert g.tobytes() == want.tobytes()
+    # a complex128 sample is the LU's own buffer; a real one is cast, so copied
+    assert np.shares_memory(g, buf.entries) == (beta == 2)
+    assert (buf.entries.tobytes() == kept.tobytes()) == (beta == 1)
 
 
 def test_resolvent_zero_matrix():

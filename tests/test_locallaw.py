@@ -7,7 +7,14 @@ import pytest
 
 from _peak import traced_peak
 from rmt_locallaw import locallaw, runner
-from rmt_locallaw.ensembles import VarianceProfile, band_profile, catalog_distribution, sample_matrix, wigner_profile
+from rmt_locallaw.ensembles import (
+    EntryDistribution,
+    VarianceProfile,
+    band_profile,
+    catalog_distribution,
+    sample_matrix,
+    wigner_profile,
+)
 from rmt_locallaw.errors import ConfigError
 from rmt_locallaw.linalg import resolvent
 from rmt_locallaw.locallaw import (
@@ -108,8 +115,45 @@ def test_row_blocked_var_times_diag_g_equals_the_whole_product(n):
     gd = np.diag(g)
     with blas_threads(1):
         for p in (wigner_profile(n), band_profile(n, max(1, n // 8), lambda x: max(0.0, 1.0 - abs(x)))):
-            _, var_g, _, _ = locallaw._row_passes(g, g, p.variances)
+            _, var_g, _, _ = locallaw._row_passes(lambda rows, out: np.conjugate(g[rows], out=out), g, p.variances)
             assert var_g.tobytes() == (p.variances @ gd.real + 1j * (p.variances @ gd.imag)).tobytes()
+
+
+_ZERO_ATOM_LAW = EntryDistribution(kind="discrete-atoms", atoms=((0.0, 0.5), (2**0.5, 0.25), (-(2**0.5), 0.25)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+def test_packed_sample_unpacks_to_its_conjugate_to_the_bit(n):
+    # every sign of zero too: an atom at 0 puts +0.0 and -0.0 in both parts,
+    # and the diagonal's imaginary part must come back as conj's -0.0
+    for d in (catalog_distribution("bernoulli"), _ZERO_ATOM_LAW):
+        h = sample_matrix(wigner_profile(n), d, 2, seed=n).entries
+        packed = locallaw._pack(h)
+        assert packed.dtype == np.float64 and packed.shape == (n, n)
+        for r in range(0, n, 64):
+            rows = slice(r, r + 64)
+            out = np.full((min(64, n - r), n), np.nan + 1j * np.nan)
+            locallaw._unpack_conjugate(packed, rows, out)
+            assert out.tobytes() == np.conjugate(h[rows]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_diagnostics_of_a_handed_over_sample_equal_those_of_a_read_only_one(beta, n):
+    d = catalog_distribution("bernoulli")
+    for p in (wigner_profile(n), band_profile(n, max(1, n // 8), lambda x: max(0.0, 1.0 - abs(x)))):
+        for z in (0.3 + 0.05j, -1.9 + 0.5j):
+            want = diagnostics(sample_matrix(p, d, beta, seed=3), p, z)
+            buf = np.empty((n, n), complex if beta == 2 else float)
+            got = diagnostics(sample_matrix(p, d, beta, seed=3, out=buf), p, z)
+            for field in dataclasses.fields(want):
+                a, b = getattr(want, field.name), getattr(got, field.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        # the minor route reads H after the full resolvent: it is not consumed
+        h = sample_matrix(p, d, beta, seed=3, out=np.empty_like(buf))
+        kept = h.entries.copy()
+        diagnostics(h, p, 0.3 + 0.05j, minor_route=True)
+        assert h.entries.tobytes() == kept.tobytes()
 
 
 def test_diagnostics_holds_one_resolvent_and_one_row_block():

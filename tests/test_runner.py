@@ -583,21 +583,42 @@ def test_dbm_gaps_job_holds_three_matrices_and_row_blocks(beta):
     assert _dbm_gaps_peak(n, beta) < 3 * 8 * beta * n * n + 4 * 8 * 64 * n
 
 
-def _diagnostics_job_peak(n: int) -> int:
+def _diagnostics_job_peak(n: int, beta: int) -> int:
     def job():
         p = wigner_profile(n)
-        return locallaw.sample_map(p, catalog_distribution("bernoulli"), 2, 1, (), 1,
+        return locallaw.sample_map(p, catalog_distribution("bernoulli"), beta, 1, (), 1,
                                    lambda _seed, h: locallaw.diagnostics(h, p, complex(0.3, n**-0.8)).upsilon_max, 1)
 
     return traced_peak(job)
 
 
 def test_diagnostics_job_holds_its_sample_its_resolvent_and_row_blocks():
-    # H and G at 16 n^2 bytes each, plus zgetri's work array and 64-row
-    # blocks; the flat profile's n x n variances (8 n^2 more) would break it
-    _diagnostics_job_peak(64)
+    # G at 16 n^2 bytes, formed in the sample's own buffer for beta = 2 once
+    # H is packed into 8 n^2, and beside the real H for beta = 1; plus
+    # zgetri's work array and 64-row blocks. A copy of a complex H, or the
+    # flat profile's n x n variances, would break it
+    _diagnostics_job_peak(64, 2)
     n = 600
-    assert _diagnostics_job_peak(n) < 2 * 16 * n * n + 2 * 16 * 64 * n
+    for beta in (1, 2):
+        assert _diagnostics_job_peak(n, beta) < 24 * n * n + 2 * 16 * 64 * n
+
+
+def _rigidity_job_peak(n: int, beta: int) -> int:
+    cfg = parse_config(json.dumps({
+        "experiment": "rigidity", "seed": 1, "n": n, "samples": 1, "workers": 1,
+        "ensemble": {"profile": "wigner", "distribution": "bernoulli", "beta": beta},
+    }))
+    return traced_peak(lambda: runner._exp_rigidity(cfg))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_eigenvalue_job_holds_its_sample_and_row_blocks(beta):
+    # LAPACK works in the sample's own buffer, and the sampler's 64-row
+    # blocks add 3-5 n^2 bytes at n = 600; the copy LAPACK took of a
+    # read-only sample made about 2 x 8 beta n^2
+    _rigidity_job_peak(64, beta)
+    n = 600
+    assert _rigidity_job_peak(n, beta) < 1.5 * 8 * beta * n * n
 
 
 @pytest.mark.parametrize("profile, a_exp", [({"profile": "wigner"}, 1),
