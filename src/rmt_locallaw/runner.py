@@ -8,7 +8,8 @@ files are written to a temporary name and renamed atomically. The manifest
 also records the run's environment, which no digested file contains.
 
 Exit codes: 0 all acceptance clauses pass, 1 acceptance failure,
-2 config error or an output path that cannot be written, 3 numerical error.
+2 config error or an output path that cannot be written, 3 numerical error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import resource
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,8 +47,6 @@ _SHAPES = {
     "triangle": lambda x: max(0.0, 1.0 - abs(x)),
     "gaussian": lambda x: math.exp(-x * x),
 }
-
-_COMMON_KEYS = {"experiment", "seed", "workers", "thresholds"}
 
 # moments-match reports the worst m4 gap over a 9 x 9 sweep of m3 in [-2, 2]
 # and m4 from the feasibility bound 1 + m3^2 to 10
@@ -80,14 +79,19 @@ def _one_of(*names) -> tuple:
     return (lambda v: isinstance(v, str) and v in names), "one of " + ", ".join(map(repr, names))
 
 
+# the largest n whose n x n complex128 array numpy can address: 16 n^2 < 2^63
+_N_MAX = math.isqrt(2**59 - 1)
+
+
 # value kind -> (check, what the error message says the value must be)
 _KINDS = {
     "int": (_is_int, "an integer"),
     "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "count2": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "size": (lambda v: _is_int(v) and 1 <= v <= _N_MAX, f"an integer >= 1 and <= {_N_MAX}"),
     "draws": (lambda v: _is_int(v) and (v == 0 or v >= 2), "0 (no Monte Carlo) or an integer >= 2"),
-    "counts": (lambda v: isinstance(v, list) and v and all(_is_int(x) and x >= 1 for x in v) and _distinct(v),
-               "a non-empty list of distinct integers >= 1"),
+    "sizes": (lambda v: isinstance(v, list) and v and all(_is_int(x) and 1 <= x <= _N_MAX for x in v)
+              and _distinct(v), f"a non-empty list of distinct integers >= 1 and <= {_N_MAX}"),
     "number": (_is_number, "a number"),
     "positive": (lambda v: _is_number(v) and v > 0, "a number > 0"),
     "point": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[1] > 0,
@@ -100,12 +104,24 @@ _KINDS = {
     "kappa_cut": (lambda v: _is_number(v) and 0 < v < 2, "a number in (0, 2)"),
     "profile": _one_of("wigner", "band"),
     "band_shape": _one_of(*_SHAPES),
+    "beta": (lambda v: _is_int(v) and v in (1, 2), "1 or 2"),
     "law": (lambda v: isinstance(v, (str, dict)), "a distribution name or object"),
     "object": (lambda v: isinstance(v, dict), "an object"),
 }
-_DEFAULT_KINDS = {int: "int", float: "number"}
-_ENSEMBLE_KINDS = {
-    "profile": "profile", "distribution": "law", "beta": "int", "band_w": "count", "band_shape": "band_shape",
+
+# the default of a key that must be given, and of one left out of the params when absent
+_REQUIRED, _OPTIONAL = object(), object()
+# the keys of every config; kind None marks one that parse_config checks by
+# itself: the tag, and "workers", whose null means no worker count
+_COMMON = {"experiment": (None, _REQUIRED), "seed": ("int", _REQUIRED), "workers": (None, _OPTIONAL),
+           "thresholds": ("object", _OPTIONAL)}
+# ensemble key -> (kind, default); band_w's default depends on n
+_ENSEMBLE = {
+    "profile": ("profile", "wigner"),
+    "distribution": ("law", "gaussian"),
+    "beta": ("beta", 2),
+    "band_w": ("count", lambda n: max(1, n // 8)),
+    "band_shape": ("band_shape", "box"),
 }
 
 
@@ -121,27 +137,14 @@ def _check_keys(obj: dict, known, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} at {where}")
 
 
-@dataclass(frozen=True)
-class _Experiment:
-    """One experiment tag: its body, the root keys it requires (key -> kind),
-    its optional keys with their defaults (kind from the default's type unless
-    `checks` names a narrower one; a list default must name its kind there)
-    and its default thresholds. `ensemble` says whether the optional ensemble
-    object applies."""
+class _Experiment(NamedTuple):
+    """One experiment tag: its body, its root keys (key -> (kind, default),
+    where the default _REQUIRED or _OPTIONAL stands for a key without one)
+    and its default thresholds."""
 
     body: Callable
-    required: dict
-    defaults: dict
+    keys: dict
     thresholds: dict
-    ensemble: bool = True
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def kinds(self) -> dict:
-        kinds = {key: self.checks.get(key) or _DEFAULT_KINDS[type(val)] for key, val in self.defaults.items()}
-        if self.ensemble:
-            kinds["ensemble"] = "object"
-        return {**kinds, **self.required}
 
 
 @dataclass
@@ -179,43 +182,34 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(exp, str) or exp not in _REGISTRY:
         raise ConfigError(f"unknown or missing experiment tag {exp!r}; known: {sorted(_REGISTRY)}")
     entry = _REGISTRY[exp]
-    kinds = entry.kinds
-    _check_keys(doc, _COMMON_KEYS | kinds.keys(), f"config root (experiment {exp})")
-    for key in ("seed", *entry.required):
-        if key not in doc:
-            raise ConfigError(f"missing required key {key!r} (experiment {exp})")
-    _check("seed", doc["seed"], "int")
-    for key, kind in kinds.items():
-        if key in doc:
-            _check(key, doc[key], kind)
-            if kind == "law":
-                _resolve_distribution(doc[key], key)  # fail fast on laws that cannot be built
-    if "ensemble" in doc:
-        ens = doc["ensemble"]
-        _check_keys(ens, _ENSEMBLE_KINDS, "ensemble")
-        for key, val in ens.items():
-            _check(f"ensemble.{key}", val, _ENSEMBLE_KINDS[key])
-            if key.startswith("band_") and ens.get("profile", "wigner") != "band":
-                raise ConfigError(f"ensemble.{key} applies to the band profile only")
-        if ens.get("beta", 2) not in (1, 2):
-            raise ConfigError("ensemble.beta must be 1 or 2")
-        n_min = min(doc.get("sizes", [doc.get("n")]))
-        if ens.get("band_w", 1) > n_min:
-            raise ConfigError(f"ensemble.band_w must be <= n = {n_min}, got {ens['band_w']}")
-        _resolve_distribution(ens.get("distribution", "gaussian"), "ensemble.distribution")
-    thresholds = dict(entry.thresholds)
+    ens = doc.get("ensemble", {})
+    # the root's keys, then the ensemble's, in the order of their tables
+    for where, path, obj, table in ((f"config root (experiment {exp})", "", doc, {**_COMMON, **entry.keys}),
+                                    ("ensemble", "ensemble.", ens, _ENSEMBLE)):
+        _check_keys(obj, table, where)
+        for key, (kind, default) in table.items():
+            if key not in obj and default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} (experiment {exp})")
+            if key in obj and kind:
+                _check(path + key, obj[key], kind)
+                if kind == "law":
+                    _resolve_distribution(obj[key], path + key)  # fail fast on laws that cannot be built
+    band = [key for key in ens if key.startswith("band_")]
+    if band and ens.get("profile") != "band":
+        raise ConfigError(f"ensemble.{band[0]} applies to the band profile only")
+    if "band_w" in ens and ens["band_w"] > (n_min := min(doc.get("sizes", [doc.get("n")]))):
+        raise ConfigError(f"ensemble.band_w must be <= n = {n_min}, got {ens['band_w']}")
     overrides = doc.get("thresholds", {})
-    _check("thresholds", overrides, "object")
-    _check_keys(overrides, thresholds, f"thresholds (experiment {exp})")
+    _check_keys(overrides, entry.thresholds, f"thresholds (experiment {exp})")
     for key, val in overrides.items():
         _check(f"thresholds.{key}", val, "number")
-        thresholds[key] = val
-    params = dict(entry.defaults)
-    params.update((key, val) for key, val in doc.items() if key not in _COMMON_KEYS)
+    params = {key: doc.get(key, default) for key, (_, default) in entry.keys.items()
+              if key in doc or default is not _OPTIONAL}
     workers = doc.get("workers")
     if workers is not None:
         _check("workers", workers, "count")
-    return ExperimentConfig(experiment=exp, seed=doc["seed"], workers=workers, params=params, thresholds=thresholds)
+    return ExperimentConfig(experiment=exp, seed=doc["seed"], workers=workers, params=params,
+                            thresholds={**entry.thresholds, **overrides})
 
 
 def _resolve_distribution(spec, path: str) -> EntryDistribution:
@@ -246,18 +240,17 @@ def _resolve_distribution(spec, path: str) -> EntryDistribution:
         raise ConfigError(f"{path}: cannot build the law {spec!r}: {exc}") from None
 
 
-def _build_profile(ens: dict, n: int):
-    if ens.get("profile", "wigner") == "wigner":
-        return wigner_profile(n)
-    return band_profile(n, int(ens.get("band_w", max(1, n // 8))), _SHAPES[ens.get("band_shape", "box")])
-
-
 def _ensemble(cfg: ExperimentConfig, n: int):
-    ens = cfg.params.get("ensemble", {})
-    profile = _build_profile(ens, n)
-    dist = _resolve_distribution(ens.get("distribution", "gaussian"), "ensemble.distribution")
-    beta = ens.get("beta", 2)
-    return profile, dist, beta
+    """The variance profile at size n, the entry law and beta of the config's
+    ensemble, with _ENSEMBLE's default for each key it leaves out."""
+    given = cfg.params.get("ensemble", {})
+    ens = {key: given.get(key, default) for key, (_, default) in _ENSEMBLE.items()}
+    if ens["profile"] == "wigner":
+        profile = wigner_profile(n)
+    else:
+        width = ens["band_w"](n) if callable(ens["band_w"]) else ens["band_w"]
+        profile = band_profile(n, width, _SHAPES[ens["band_shape"]])
+    return profile, _resolve_distribution(ens["distribution"], "ensemble.distribution"), ens["beta"]
 
 
 # each manifest field and the type `report` reads it as
@@ -300,7 +293,7 @@ class RunManifest:
     acceptance: dict
     statistics: dict
     clauses: list
-    environment: dict = field(default_factory=dict)
+    environment: dict
 
     @property
     def all_passed(self) -> bool:
@@ -319,7 +312,6 @@ class RunManifest:
             raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("manifest must be a JSON object")
-        doc = {"clauses": [], "environment": {}, **doc}  # manifests written before these fields existed
         for key, kind in _MANIFEST_TYPES.items():
             if key not in doc:
                 raise ConfigError(f"manifest has no key {key!r}")
@@ -337,6 +329,9 @@ class RunManifest:
             if not (clause and clause.passed is acceptance.get(clause.name) and clause.margin == c["margin"]):
                 raise ConfigError(f"manifest key 'clauses' has a malformed entry, or one that 'acceptance' "
                                   f"contradicts: {c!r}")
+        names = [c["name"] for c in doc["clauses"]]
+        if len(set(names)) != len(names) or set(names) != acceptance.keys():  # each verdict backed by one clause
+            raise ConfigError(f"manifest key 'clauses' must name each 'acceptance' key once, got {names!r}")
         return cls(**{key: doc[key] for key in _MANIFEST_TYPES})
 
 
@@ -685,39 +680,37 @@ def _exp_correlations(cfg: ExperimentConfig):
     return files, statistics, [Clause("gap_cdf_ks", ks, "<", cfg.thresholds["ks_max"])]
 
 
+# the keys of an experiment that samples one ensemble at one size
+_ONE_SIZE = {"n": ("size", _REQUIRED), "samples": ("count", _REQUIRED), "ensemble": ("object", _OPTIONAL)}
+
 _REGISTRY = {
     "locallaw-scan": _Experiment(
         _exp_locallaw_scan,
-        {"sizes": "counts", "samples": "count"},
-        {"e": 0.0, "eta_power": -0.8, "eta_coeff": 1.0},
+        {"sizes": ("sizes", _REQUIRED), "samples": ("count", _REQUIRED), "ensemble": ("object", _OPTIONAL),
+         "e": ("number", 0.0), "eta_power": ("number", -0.8), "eta_coeff": ("positive", 1.0)},
         {"median_meta_m_err_max": 10.0, "flatness_ratio_max": 4.0, "median_sqrt_meta_lambda_d_max": 10.0},
-        checks={"eta_coeff": "positive"},
     ),
-    "rigidity": _Experiment(_exp_rigidity, {"n": "count", "samples": "count"}, {}, {"exponent": -1.0 / 7.0}),
-    "counting": _Experiment(
-        _exp_counting, {"n": "count", "samples": "count"}, {},
-        {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95},
-    ),
-    "edge": _Experiment(_exp_edge, {"n": "count", "samples": "count"}, {"epsilon": 0.05}, {}),
+    "rigidity": _Experiment(_exp_rigidity, _ONE_SIZE, {"exponent": -1.0 / 7.0}),
+    "counting": _Experiment(_exp_counting, _ONE_SIZE, {"coeff": 10.0, "power": 0.1, "min_pass_fraction": 0.95}),
+    "edge": _Experiment(_exp_edge, {**_ONE_SIZE, "epsilon": ("number", 0.05)}, {}),
     "dbm-gaps": _Experiment(
-        _exp_dbm_gaps, {"n": "count", "samples": "count"}, {"times": [0.0, 0.1, 1.0], "kappa_cut": 0.5},
-        {"ks_max": 0.03, "min_gaps": 0}, checks={"times": "times", "kappa_cut": "kappa_cut"},
+        _exp_dbm_gaps, {**_ONE_SIZE, "times": ("times", [0.0, 0.1, 1.0]), "kappa_cut": ("kappa_cut", 0.5)},
+        {"ks_max": 0.03, "min_gaps": 0},
     ),
     "moments-match": _Experiment(
         _exp_moments_match,
-        {},
-        {"grid_count": 100, "gammas": [0.001, 0.01, 0.1], "mc_draws": 1000000},
+        {"grid_count": ("count", 100), "gammas": ("gammas", [0.001, 0.01, 0.1]), "mc_draws": ("draws", 1000000)},
         {"m3_tol": 1e-12, "m4_gap_coeff": 4.0, "mc_sigma": 5.0},
-        ensemble=False,
-        checks={"grid_count": "count", "gammas": "gammas", "mc_draws": "draws"},
     ),
     "zmoments": _Experiment(
-        _exp_zmoments, {"n": "count", "z": "point", "samples": "count2"}, {"p_max": 2, "log_alpha": 1.0},
+        _exp_zmoments,
+        {**_ONE_SIZE, "z": ("point", _REQUIRED), "samples": ("count2", _REQUIRED), "p_max": ("int", 2),
+         "log_alpha": ("number", 1.0)},
         {"ratio_max": 1.0},
     ),
     "correlations": _Experiment(
-        _exp_correlations, {"distribution_b": "law", "n": "count", "samples": "count"}, {"kappa_cut": 0.5},
-        {"ks_max": 0.05}, checks={"kappa_cut": "kappa_cut"},
+        _exp_correlations, {**_ONE_SIZE, "distribution_b": ("law", _REQUIRED), "kappa_cut": ("kappa_cut", 0.5)},
+        {"ks_max": 0.05},
     ),
 }
 
@@ -781,19 +774,17 @@ def run(cfg: ExperimentConfig, outdir: str) -> RunManifest:
 
 
 def report(manifests) -> str:
-    """Aggregate summary table, one row per acceptance clause of each manifest: its value,
-    threshold and margin (blank in a manifest older than clauses) and its verdict."""
+    """Aggregate summary table, one row per acceptance clause of each manifest, in
+    the order the experiment declares them: its value, threshold, margin and verdict."""
     manifests = list(manifests)
     if not manifests:
         raise ConfigError("report needs at least one manifest")
     rows = [("experiment", "clause", "value", "threshold", "margin", "status", "runtime")]
     for m in manifests:
-        clauses = {c["name"]: c for c in m.clauses}
-        for name in {**clauses, **m.acceptance}:  # the clauses in the order the experiment declares them
-            c = clauses.get(name)
-            cells = (f"{c['value']:.4g}", f"{c['op']} {c['threshold']:.4g}", f"{c['margin']:+.4g}") if c else ("",) * 3
-            status = "PASS" if m.acceptance[name] else "FAIL"
-            rows.append((m.experiment, name, *cells, status, f"{m.wall_clock_s:.1f}s"))
+        for c in m.clauses:
+            status = "PASS" if m.acceptance[c["name"]] else "FAIL"
+            rows.append((m.experiment, c["name"], f"{c['value']:.4g}", f"{c['op']} {c['threshold']:.4g}",
+                         f"{c['margin']:+.4g}", status, f"{m.wall_clock_s:.1f}s"))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows]
     lines.append("overall: " + ("PASS" if all(m.all_passed for m in manifests) else "FAIL"))
@@ -844,7 +835,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # the output directory or a file in it
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    except RMTError as exc:
+    except (RMTError, MemoryError) as exc:  # numpy's MemoryError names the array it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(report([manifest]))

@@ -6,6 +6,7 @@ them live) and asserts both the statistical clause and the runtime budget.
 
 import json
 import pathlib
+import sys
 import tempfile
 import time
 
@@ -265,6 +266,15 @@ def digest_changes(old: dict, new: dict) -> list:
     return [change for change in pairs if change[2] != change[3]]
 
 
+def unbumped_changes(pinned: dict, fresh: dict) -> list:
+    """The digest changes of fresh against pinned when both tables are for the
+    same artifact version, BLAS build and numpy version: bytes that moved
+    without a version bump, which the regenerator refuses to pin."""
+    if any(pinned[key] != fresh[key] for key in ("artifact_version", "blas", "numpy")):
+        return []
+    return digest_changes(pinned["digests"], fresh["digests"])
+
+
 def test_digest_changes_lists_added_dropped_and_changed_digests():
     old = {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.csv": "3"}}
     new = {"a": {"x.csv": "1", "y.csv": "4"}, "c": {"z.csv": "3"}}
@@ -273,10 +283,26 @@ def test_digest_changes_lists_added_dropped_and_changed_digests():
     assert digest_changes(old, old) == []
 
 
+def test_the_regenerator_refuses_changed_digests_without_a_version_bump():
+    pinned = {"artifact_version": "1.0.0", "blas": "OpenBLAS 0.3", "numpy": "2.0", "digests": {"a": {"x.csv": "1"}}}
+    moved = {**pinned, "digests": {"a": {"x.csv": "2"}}}
+    assert unbumped_changes(pinned, moved) == [("a", "x.csv", "1", "2")]
+    assert unbumped_changes(pinned, {**pinned}) == []
+    # a bump, another BLAS build or another numpy may re-pin
+    for key, value in (("artifact_version", "1.1.0"), ("blas", "OpenBLAS 0.4"), ("numpy", "2.1")):
+        assert unbumped_changes(pinned, {**moved, key: value}) == []
+
+
 if __name__ == "__main__":  # regenerate the pinned tables: PYTHONPATH=src python tests/test_acceptance.py
-    for path, table in ((DIGESTS, determinism_digest_table), (WORKLOAD_DIGESTS, workload_digest_table)):
-        fresh = table()
+    tables = [(path, json.loads(path.read_text()), table())
+              for path, table in ((DIGESTS, determinism_digest_table), (WORKLOAD_DIGESTS, workload_digest_table))]
+    for path, pinned, fresh in tables:
         # what the overwrite changes, so that a version bump can list it
-        for run, name, before, after in digest_changes(json.loads(path.read_text())["digests"], fresh["digests"]):
+        for run, name, before, after in digest_changes(pinned["digests"], fresh["digests"]):
             print(f"{path.name}: {run}/{name} {before} -> {after}")
+    if any(unbumped_changes(pinned, fresh) for _, pinned, fresh in tables):
+        print(f"digests changed at ARTIFACT_VERSION {runner.ARTIFACT_VERSION} on the pinned BLAS build and numpy: "
+              "nothing written; bump the version for a change of bytes", file=sys.stderr)
+        sys.exit(1)
+    for path, _, fresh in tables:
         path.write_text(json.dumps(fresh, sort_keys=True, indent=1) + "\n")

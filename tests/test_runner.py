@@ -142,6 +142,15 @@ BAD_VALUES = [
     (minimal_config(ensemble={"band_shape": "gaussian"}), "ensemble.band_shape applies"),
     (config("dbm-gaps", n=40, samples=1, kappa_cut=2.5), "kappa_cut must be"),
     (config("correlations", n=50, samples=1, distribution_b="gaussian", kappa_cut=0), "kappa_cut must be"),
+    (minimal_config(ensemble={"beta": 3}), "ensemble.beta must be 1 or 2"),
+    # an n whose n x n complex array passes numpy's size limit (16 n^2 >= 2^63); parsed only
+    *((config(tag, **doc, n=n), "n must be an integer >= 1 and <= 759250124")
+      for n in (759250125, 3_000_000_000, 10**20, 10**400)
+      for tag, doc in (("rigidity", {"samples": 1}), ("edge", {"samples": 1}), ("dbm-gaps", {"samples": 1}),
+                       ("zmoments", {"z": [0.5, 0.05], "samples": 2}),
+                       ("correlations", {"samples": 1, "distribution_b": "gaussian"}))),
+    (config("locallaw-scan", sizes=[50, 10**20], samples=1), "sizes must be a non-empty list of distinct integers"),
+    (config("locallaw-scan", sizes=[759250125], samples=1), "<= 759250124"),
 ]
 
 
@@ -202,8 +211,17 @@ def test_scan_draws_each_sample_once_from_its_size_seed(monkeypatch, tmp_path):
 
 
 def test_every_value_kind_is_reached_by_a_key():
-    reached = {kind for entry in runner._REGISTRY.values() for kind in entry.kinds.values()}
-    assert reached | set(runner._ENSEMBLE_KINDS.values()) == set(runner._KINDS)
+    tables = [runner._COMMON, runner._ENSEMBLE, *(entry.keys for entry in runner._REGISTRY.values())]
+    reached = {kind for table in tables for kind, _default in table.values()}
+    assert reached - {None} == set(runner._KINDS)
+
+
+def test_the_largest_n_is_the_last_whose_complex_array_numpy_can_address():
+    n_max = runner._N_MAX
+    assert 16 * n_max**2 < 2**63 <= 16 * (n_max + 1) ** 2
+    # parsed only: no array of that size is made
+    assert parse_config(minimal_config(n=n_max)).params["n"] == n_max
+    assert parse_config(config("locallaw-scan", sizes=[50, n_max], samples=1)).params["sizes"] == [50, n_max]
 
 
 def test_parse_rejects_unknown_experiment_and_bad_json():
@@ -285,8 +303,9 @@ def test_manifest_environment_is_kept_out_of_digested_files(tmp_path, monkeypatc
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     doc = json.loads((tmp_path / "a" / "rigidity.manifest.json").read_text())
     assert doc["environment"] == env
-    del doc["environment"]  # manifests written before the field existed
-    assert RunManifest.from_json(json.dumps(doc)).environment == {}
+    del doc["environment"]
+    with pytest.raises(ConfigError, match="manifest has no key 'environment'"):
+        RunManifest.from_json(json.dumps(doc))
 
 
 def test_report_table(tmp_path):
@@ -299,13 +318,16 @@ def test_report_table(tmp_path):
     assert row.split()[:7] == ["rigidity", "all_below_threshold", f"{c['value']:.4g}", "<", f"{c['threshold']:.4g}",
                                f"{c['margin']:+.4g}", "PASS"]
     assert overall == "overall: PASS"
-    # one row per clause; a manifest written before clauses were recorded has blank value cells
+    # one row per clause
     failing = RunManifest(
         experiment="edge", config={}, artifact_version="0", wall_clock_s=0.1,
-        digests={}, acceptance={"x": False, "y": True}, statistics={}, clauses=[],
+        digests={}, acceptance={"x": False, "y": True}, statistics={}, environment={},
+        clauses=[{"name": "x", "value": 1.0, "op": "<", "threshold": 0.5, "margin": -0.5},
+                 {"name": "y", "value": 0.0, "op": ">=", "threshold": 0.0, "margin": 0.0}],
     )
     mixed = report([m, failing]).splitlines()
-    assert [line.split() for line in mixed[2:4]] == [["edge", "x", "FAIL", "0.1s"], ["edge", "y", "PASS", "0.1s"]]
+    assert [line.split() for line in mixed[2:4]] == [["edge", "x", "1", "<", "0.5", "-0.5", "FAIL", "0.1s"],
+                                                     ["edge", "y", "0", ">=", "0", "+0", "PASS", "0.1s"]]
     assert mixed[-1] == "overall: FAIL"
     with pytest.raises(ConfigError):
         report([])
@@ -366,6 +388,44 @@ def test_main_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error") and key in err
         assert not never.exists()
+
+
+def test_main_reports_running_out_of_memory_in_one_line(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(minimal_config())
+
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type complex128")
+
+    monkeypatch.setitem(runner._REGISTRY, "rigidity", runner._REGISTRY["rigidity"]._replace(body=out_of_memory))
+    assert main(["rigidity", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type complex128\n"
+
+
+def _echo_and_csv(tmp_path, name: str, doc: dict) -> tuple:
+    out = tmp_path / name
+    run(parse_config(json.dumps(doc)), str(out))
+    return json.loads((out / "rigidity.summary.json").read_text())["config"], (out / "rigidity.csv").read_bytes()
+
+
+def test_a_config_without_an_ensemble_samples_the_default_one(tmp_path):
+    doc = {"experiment": "rigidity", "seed": 7, "n": 60, "samples": 2}
+    echo, csv_bytes = _echo_and_csv(tmp_path, "default", doc)
+    stated = {"profile": "wigner", "distribution": "gaussian", "beta": 2}
+    echo_stated, csv_stated = _echo_and_csv(tmp_path, "stated", {**doc, "ensemble": stated})
+    assert csv_bytes == csv_stated
+    assert "ensemble" not in echo and echo_stated["ensemble"] == stated
+
+
+@pytest.mark.parametrize("n", [60, 7])
+def test_a_band_without_width_or_shape_is_an_eighth_of_n_wide_and_a_box(tmp_path, n):
+    doc = {"experiment": "rigidity", "seed": 7, "n": n, "samples": 2}
+    band = {"profile": "band", "distribution": "bernoulli"}
+    _, csv_bytes = _echo_and_csv(tmp_path, "default", {**doc, "ensemble": band})
+    stated = {**band, "band_w": max(1, n // 8), "band_shape": "box"}
+    _, csv_stated = _echo_and_csv(tmp_path, "stated", {**doc, "ensemble": stated})
+    assert csv_bytes == csv_stated
 
 
 def test_main_rejects_an_output_path_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch):
@@ -484,17 +544,20 @@ def test_main_report_subcommand(tmp_path, capsys):
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
 
-    # a manifest written before clauses were recorded, with the headline it had then, is still read
-    good = json.loads((out / "rigidity.manifest.json").read_text())
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps({**{k: v for k, v in good.items() if k != "clauses"}, "headline": {"statistic": "s"}}))
-    assert main(["report", str(old)]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split()[:3] == ["rigidity", "all_below_threshold", "PASS"]
-
     # a file that is not a manifest, or whose verdicts cannot be trusted: one line naming the key or the problem
+    good = json.loads((out / "rigidity.manifest.json").read_text())
     path = tmp_path / "m.json"
     (clause,) = good["clauses"]
+    unbacked = "manifest key 'clauses' must name each 'acceptance' key once"
     for data, message in [
+        # a manifest written before clauses were recorded, with the headline it had then
+        (json.dumps({**{k: v for k, v in good.items() if k != "clauses"}, "headline": {"statistic": "s"}}).encode(),
+         "manifest has no key 'clauses'"),
+        (json.dumps({**good, "clauses": []}).encode(), unbacked),
+        # a verdict no clause backs, beside two copies of the clause that backs the other
+        (json.dumps({**good, "acceptance": {"all_below_threshold": True, "y": True},
+                     "clauses": [clause, clause]}).encode(), unbacked),
+        (json.dumps({**good, "clauses": [clause, clause]}).encode(), unbacked),
         (b'{"experiment": "rigidity"}', "manifest has no key 'config'"),
         (b"[1, 2]", "manifest must be a JSON object"),
         (json.dumps({"experiment": "edge", "config": {}, "artifact_version": "0", "wall_clock_s": "1s", "digests": {},
@@ -627,8 +690,9 @@ def test_counting_takes_its_edge_exponent_from_the_profile(tmp_path, profile, a_
     # a triangle band profile has zero variances off its band, so A = 2
     ens = {**profile, "distribution": "bernoulli", "beta": 2}
     n, samples = 60, 2
-    m = run(parse_config(config("counting", n=n, samples=samples, ensemble=ens)), str(tmp_path))
-    p = runner._build_profile(ens, n)
+    cfg = parse_config(config("counting", n=n, samples=samples, ensemble=ens))
+    m = run(cfg, str(tmp_path))
+    p = runner._ensemble(cfg, n)[0]
     spectra = [eigh(sample_matrix(p, catalog_distribution("bernoulli"), 2, derive_seed(7, "counting", si)),
                     compute_vectors=False) for si in range(samples)]
     assert p.edge_exponent_a == a_exp and m.statistics["a_exponent"] == a_exp
@@ -673,7 +737,8 @@ def test_main_exit_code_is_total_on_mutated_configs(tag, data):
     doc = json.loads(json.dumps({"experiment": tag, "seed": 7, "workers": 2, **FUZZ_CONFIGS[tag]}))
     paths = [(key,) for key in doc] + [("ensemble", key) for key in doc.get("ensemble", {})]
     int_max = {**_INT_MAX, **{key: doc[key] for key in _MC_SIZES if key in doc}}
-    required = {"experiment", "seed", *runner._REGISTRY[tag].required} - _MC_SIZES
+    keys = {**runner._COMMON, **runner._REGISTRY[tag].keys}
+    required = {key for key, (_kind, default) in keys.items() if default is runner._REQUIRED} - _MC_SIZES
     fixed = [(path, value) for path in paths for value in FUZZ_VALUES] + [((key,), _DROP) for key in required]
     ints = st.sampled_from(paths).flatmap(
         lambda path: st.tuples(st.just(path), st.integers(-3, int_max.get(path[-1], 40))))
